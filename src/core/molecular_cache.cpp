@@ -13,12 +13,26 @@
 
 namespace molcache {
 
-MolecularCache::MolecularCache(const MolecularCacheParams &params)
-    : params_(params), directory_(params.clusters),
-      noc_(params.clusters, params.noc), resizer_(params)
-{
-    params_.validate();
+namespace {
 
+/** @p params after validate(): members sized from the geometry are
+ * built only from coherent parameters. */
+const MolecularCacheParams &
+validated(const MolecularCacheParams &params)
+{
+    params.validate();
+    return params;
+}
+
+} // namespace
+
+MolecularCache::MolecularCache(const MolecularCacheParams &params)
+    : params_(validated(params)),
+      directory_(params_.clusters,
+                 static_cast<u64>(params_.totalMolecules()) *
+                     params_.linesPerMolecule()),
+      noc_(params_.clusters, params_.noc), resizer_(params_)
+{
     const u32 total_tiles = params_.totalTiles();
     tiles_.reserve(total_tiles);
     for (u32 t = 0; t < total_tiles; ++t) {
@@ -33,8 +47,7 @@ MolecularCache::MolecularCache(const MolecularCacheParams &params)
         std::vector<TileId> cluster_tiles;
         for (u32 i = 0; i < params_.tilesPerCluster; ++i)
             cluster_tiles.push_back(TileId{c * params_.tilesPerCluster + i});
-        ulmos_.emplace_back(ClusterId{c}, std::move(cluster_tiles),
-                            directory_);
+        ulmos_.emplace_back(ClusterId{c}, std::move(cluster_tiles));
     }
 
     appsPerCluster_.assign(params_.clusters, 0);
@@ -962,11 +975,11 @@ MolecularCache::chooseLruDirectMolecule(const Region &region, Addr addr)
 }
 
 void
-MolecularCache::applyInvalidations(const std::vector<ClusterId> &clusters,
-                                   LineAddr lineAddr, Asid except,
-                                   ClusterId origin)
+MolecularCache::applyInvalidations(ClusterMask clusters, LineAddr lineAddr,
+                                   Asid except, ClusterId origin)
 {
-    for (const ClusterId c : clusters) {
+    for (; clusters != 0; clusters &= clusters - 1) {
+        const ClusterId c{static_cast<u32>(std::countr_zero(clusters))};
         // One invalidation message from the writing cluster to each
         // victim over the inter-cluster interconnect.
         noc_.sendMessage(origin.value(), c.value());

@@ -378,9 +378,8 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
 
     /** Apply directory-mandated invalidations for @p lineAddr, routing
      * one message per victim cluster from @p origin over the NoC. */
-    void applyInvalidations(const std::vector<ClusterId> &clusters,
-                            LineAddr lineAddr, Asid except,
-                            ClusterId origin);
+    void applyInvalidations(ClusterMask clusters, LineAddr lineAddr,
+                            Asid except, ClusterId origin);
 
     /** Run resize scheduling after an access by @p region. */
     void maybeResize(Region &region);

@@ -2,15 +2,15 @@
 
 #include <algorithm>
 
-#include "contract/contract.hpp"
+#include "util/logging.hpp"
 
 namespace molcache {
 
-Ulmo::Ulmo(ClusterId cluster, std::vector<TileId> tiles,
-           CoherenceDirectory &directory)
-    : cluster_(cluster), tiles_(std::move(tiles)), directory_(directory)
+Ulmo::Ulmo(ClusterId cluster, std::vector<TileId> tiles)
+    : cluster_(cluster), tiles_(std::move(tiles))
 {
-    MOLCACHE_EXPECT(!tiles_.empty(), "Ulmo with no tiles");
+    // Always on: every escalation path indexes the cluster's tiles.
+    MOLCACHE_ASSERT(!tiles_.empty(), "Ulmo with no tiles");
 }
 
 bool

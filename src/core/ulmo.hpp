@@ -14,7 +14,6 @@
 
 #include <vector>
 
-#include "core/coherence.hpp"
 #include "core/tile.hpp"
 #include "util/types.hpp"
 
@@ -24,19 +23,14 @@ class Ulmo
 {
   public:
     /**
-     * @param cluster   cluster index
-     * @param tiles     global indices of this cluster's tiles
-     * @param directory shared inter-cluster coherence directory
+     * @param cluster cluster index
+     * @param tiles   global indices of this cluster's tiles (at least one)
      */
-    Ulmo(ClusterId cluster, std::vector<TileId> tiles,
-         CoherenceDirectory &directory);
+    Ulmo(ClusterId cluster, std::vector<TileId> tiles);
 
     ClusterId cluster() const { return cluster_; }
     const std::vector<TileId> &tiles() const { return tiles_; }
     bool managesTile(TileId tile) const;
-
-    CoherenceDirectory &directory() { return directory_; }
-    const CoherenceDirectory &directory() const { return directory_; }
 
     /** @{ Escalation statistics. */
     void noteTileMiss() { ++tileMisses_; }
@@ -67,7 +61,6 @@ class Ulmo
   private:
     ClusterId cluster_;
     std::vector<TileId> tiles_;
-    CoherenceDirectory &directory_;
 
     u64 tileMisses_ = 0;
     u64 remoteProbes_ = 0;

@@ -8,8 +8,11 @@
  *
  * The whole binary's global operator new/delete are replaced with
  * counting versions; the test samples the counter around a window of
- * all-hit accesses and requires it not to move.  This TU must stay its
- * own test binary so the override cannot perturb the other suites.
+ * all-hit accesses — and around miss-bearing windows on the paper's
+ * geometries, where fills, evictions, the coherence directory and
+ * cross-cluster invalidations run — and requires it not to move.  This
+ * TU must stay its own test binary so the override cannot perturb the
+ * other suites.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "core/molecular_cache.hpp"
+#include "sim/experiment.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -241,6 +245,102 @@ TEST(HotpathAllocations, ZeroPerBatchLruDirect)
 TEST(HotpathAllocations, ZeroPerBatchRowRestrictedFallback)
 {
     expectZeroAllocBatchSteadyState(PlacementPolicy::Randy, true);
+}
+
+/**
+ * Miss-bearing steady state on the paper geometries.  Figure 5 (one
+ * cluster): four applications sweep private windows twice the size of
+ * the whole cache, so every pass misses, fills and evicts.  Table 2
+ * (three clusters): one application per cluster shares a single window
+ * with a write mix, so every write invalidates the other clusters'
+ * copies and their next reads miss.  Resizing is pushed out of the
+ * window; everything else on the miss path — fills, evictions, the
+ * coherence directory, cross-cluster invalidations — must not allocate.
+ */
+enum class MissGeometry { Fig5, Table2 };
+
+void
+expectZeroAllocMissWindow(MissGeometry geometry, bool batch)
+{
+    MolecularCacheParams p =
+        geometry == MissGeometry::Fig5
+            ? fig5MolecularParams(2_MiB, PlacementPolicy::Random, 1)
+            : table2MolecularParams(PlacementPolicy::Randy, 1);
+    p.resizePeriod = 1u << 30; // no resize inside the measured window
+    p.maxResizePeriod = 1u << 30;
+    MolecularCache cache(p);
+    const bool shared = geometry == MissGeometry::Table2;
+    const u16 apps = shared ? 3 : 4;
+    registerApplications(cache, apps, 0.1);
+
+    const u64 windowLines = 2 * p.totalSizeBytes().value() / p.lineSize;
+    std::vector<MemAccess> trace;
+    u64 x = 88172645463325252ull;
+    for (u32 i = 0; i < 20000; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const u16 a = static_cast<u16>(i % apps);
+        const Addr base = shared ? 0 : static_cast<Addr>(a) << 32;
+        trace.push_back({base + (x % windowLines) * p.lineSize, Asid{a},
+                         (x >> 40) % 4 == 0 ? AccessType::Write
+                                            : AccessType::Read});
+    }
+    std::vector<AccessResult> results(trace.size());
+    auto pass = [&] {
+        if (batch) {
+            cache.accessBatch({trace.data(), trace.size()},
+                              {results.data(), results.size()});
+            return;
+        }
+        for (size_t i = 0; i < trace.size(); ++i)
+            results[i] = cache.access(trace[i]);
+    };
+    for (int warm = 0; warm < 3; ++warm)
+        pass();
+
+    u64 misses = 0;
+    const u64 invalidationsBefore =
+        cache.directory().stats().invalidationsSent;
+    const u64 evictionsBefore = cache.directory().stats().evictions;
+    const unsigned long long before = g_heapAllocs.load();
+    for (int window = 0; window < 5; ++window) {
+        pass();
+        for (const AccessResult &r : results)
+            misses += r.hit ? 0 : 1;
+    }
+    const unsigned long long after = g_heapAllocs.load();
+
+    ASSERT_GT(misses, trace.size()) << "window must bear misses";
+    ASSERT_GT(cache.directory().stats().evictions, evictionsBefore)
+        << "window must evict";
+    if (shared) {
+        ASSERT_GT(cache.directory().stats().invalidationsSent,
+                  invalidationsBefore)
+            << "window must invalidate across clusters";
+    }
+    EXPECT_EQ(after - before, 0u)
+        << "steady-state misses must not allocate";
+}
+
+TEST(HotpathAllocations, ZeroPerMissFig5)
+{
+    expectZeroAllocMissWindow(MissGeometry::Fig5, false);
+}
+
+TEST(HotpathAllocations, ZeroPerMissBatchFig5)
+{
+    expectZeroAllocMissWindow(MissGeometry::Fig5, true);
+}
+
+TEST(HotpathAllocations, ZeroPerMissTable2Invalidating)
+{
+    expectZeroAllocMissWindow(MissGeometry::Table2, false);
+}
+
+TEST(HotpathAllocations, ZeroPerMissBatchTable2Invalidating)
+{
+    expectZeroAllocMissWindow(MissGeometry::Table2, true);
 }
 
 /** The counter itself must observe allocations, or the zero above would

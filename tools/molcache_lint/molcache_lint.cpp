@@ -430,8 +430,8 @@ checkHotPathMap(const SourceFile &f, const Context &)
     // so the batch data plane's plain-named lane/scratch structs
     // (MolecularCache::BatchLane and friends) are held to the same
     // dense-layout bar as classic members.  Genuinely sparse state
-    // (e.g. the per-line coherence directory) opts out with the allow
-    // tag.
+    // that no access walks (e.g. the ordered region authority) opts out
+    // with the allow tag.
     static const std::regex rx(
         R"(\bstd\s*::\s*((unordered_)?(map|set|multimap|multiset)|list)\s*<[^;{}()]*>\s+\w+\s*(\{\s*\})?\s*;)");
     for (auto it = std::sregex_iterator(f.code.begin(), f.code.end(), rx);
