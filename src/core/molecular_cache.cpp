@@ -31,6 +31,7 @@ MolecularCache::MolecularCache(const MolecularCacheParams &params)
       directory_(params_.clusters,
                  static_cast<u64>(params_.totalMolecules()) *
                      params_.linesPerMolecule()),
+      residency_(params_.totalMolecules(), params_.linesPerMolecule()),
       noc_(params_.clusters, params_.noc), resizer_(params_)
 {
     const u32 total_tiles = params_.totalTiles();
@@ -57,7 +58,6 @@ MolecularCache::MolecularCache(const MolecularCacheParams &params)
     wayMemoOn_ = params_.wayMemoization;
     linesPerMol_ = params_.linesPerMolecule();
     lineShift_ = floorLog2(params_.lineSize);
-    tagShift_ = lineShift_ + floorLog2(linesPerMol_);
     rng_ = makeRandomSource(params_.rngKind, params_.seed);
 
     globalResizePeriod_ = params_.resizePeriod;
@@ -197,10 +197,14 @@ MolecularCache::unregisterApplication(Asid asid)
     std::vector<MoleculeId> mols;
     for (const auto &[tile, ids] : region.byTile())
         mols.insert(mols.end(), ids.begin(), ids.end());
+    const bool track = indexed(region);
     for (const MoleculeId id : mols) {
         Molecule &m = molecule(id);
-        for (const Addr la : m.residentLines())
+        for (const Addr la : m.residentLines()) {
             directory_.noteEviction(LineAddr{la}, region.homeCluster());
+            if (track)
+                residency_.erase(LineAddr{la}, id);
+        }
         const u32 dirty = tiles_[m.tile().value()].release(id);
         for (u32 i = 0; i < dirty; ++i)
             stats_.recordWriteback(asid);
@@ -379,6 +383,7 @@ MolecularCache::probeTile(TileId tile, const std::vector<MoleculeId> &mols,
             directory_.noteEviction(
                 LineAddr{dropped->addr},
                 ClusterId{tile.value() / params_.tilesPerCluster});
+            residency_.erase(LineAddr{dropped->addr}, id);
             break;
           }
         }
@@ -470,72 +475,18 @@ MolecularCache::accessTicked(const MemAccess &a)
         a.addr, params_.rowRestrictedLookup, sharedGen_,
         shared_home.empty() ? nullptr : &shared_home);
 
-    u32 probes = static_cast<u32>(plan.home.size());
-    double energy = tileAccessEnergyNj(probes);
     // The ASID stage gates every tile visit; matching molecules of a
     // tile are probed in parallel behind the single port.
-    Cycles latency = params_.asidStageCycles +
-                     params_.moleculeAccessCycles;
-    u8 level = 0;
+    AccessCharge charge;
+    charge.probes = static_cast<u32>(plan.home.size());
+    charge.energyNj = tileAccessEnergyNj(charge.probes);
+    charge.latency = params_.asidStageCycles + params_.moleculeAccessCycles;
 
-    // Way-memoization (docs/perf.md): verify the last-hit molecule for
-    // this (row, line-index) key with a single tag probe before paying
-    // the full schedule walk.  The verification makes the shortcut
-    // self-correcting, and probes/energy/latency above were already
-    // charged for the whole home schedule — the model cannot tell the
-    // difference.
-    Molecule *hit_mol = nullptr;
-    WayMemoEntry *memo_slot = nullptr;
-    if (wayMemoOn_ && !region.empty()) {
-        memo_slot = wayMemoSlot(region, a.addr);
-        const u32 tag_bits = static_cast<u32>(a.addr >> lineShift_ >> 10);
-        if (memo_slot->mol != kInvalidMolecule &&
-            memo_slot->tagBits == tag_bits) {
-            Molecule &m = molecule(memo_slot->mol);
-            // Live re-validation: the prediction survived membership
-            // churn, so re-check the figure-3 ASID gate and the home
-            // tile before trusting the verification probe.  A molecule
-            // that passes both is in today's home schedule (its tile
-            // never changes; an admitted molecule on the home tile is
-            // either the region's own or shared-bit, both probed).
-            if (m.admits(a.asid) && m.tile() == region.homeTile() &&
-                m.probe(a.addr) == Molecule::ProbeOutcome::Hit) {
-                hit_mol = &m;
-                ++wayMemoHits_;
-            } else {
-                memo_slot->mol = kInvalidMolecule;
-                ++wayMemoMispredicts_;
-            }
-        }
-        if (hit_mol == nullptr) {
-            hit_mol = probeTile(region.homeTile(), plan.home, a.addr);
-            if (hit_mol != nullptr)
-                *memo_slot = WayMemoEntry{tag_bits, hit_mol->id()};
-        }
-    } else {
-        hit_mol = probeTile(region.homeTile(), plan.home, a.addr);
-    }
-
-    if (hit_mol == nullptr && !plan.remote.empty()) {
-        // Tile miss: Ulmo forwards to the region's other tiles.
-        Ulmo &ulmo = ulmos_[region.homeCluster().value()];
-        ulmo.noteTileMiss();
-        for (const TileProbes &tp : plan.remote) {
-            const u32 n = static_cast<u32>(tp.molecules.size());
-            energy += ulmoHopNj_ + tileAccessEnergyNj(n);
-            latency += params_.ulmoHopCycles + params_.asidStageCycles +
-                       params_.moleculeAccessCycles;
-            probes += n;
-            tiles_[tp.tile.value()].notePortAccess();
-            ulmo.noteRemoteProbes(n);
-            hit_mol = probeTile(tp.tile, tp.molecules, a.addr);
-            if (hit_mol != nullptr) {
-                ulmo.noteRemoteHit();
-                level = 1;
-                break;
-            }
-        }
-    }
+    WayMemoEntry *memo_slot = wayMemoOn_ && !region.empty()
+                                  ? wayMemoSlot(region, a.addr)
+                                  : nullptr;
+    Molecule *hit_mol =
+        locate(region, plan, a, memo_slot, wayMemoTally_, charge);
 
     const bool hit = hit_mol != nullptr;
     if (hit) {
@@ -549,22 +500,22 @@ MolecularCache::accessTicked(const MemAccess &a)
                 a.asid, region.homeCluster());
         }
     } else {
-        level = 2;
-        latency += params_.missPenaltyCycles;
-        energy += handleMiss(region, a);
+        charge.level = 2;
+        charge.latency += params_.missPenaltyCycles;
+        charge.energyNj += handleMiss(region, a);
     }
 
     region.noteAccess(hit);
     if (guardian_ != nullptr)
         guardian_->noteAccess(region, hit);
-    stats_.record(a.asid, hit, a.isWrite(), latency);
+    stats_.record(a.asid, hit, a.isWrite(), charge.latency);
     intervalAccesses_.increment();
     if (!hit)
         intervalMisses_.increment();
-    probesTotal_ += probes;
+    probesTotal_ += charge.probes;
     enabledIntegral_ += region.size();
     if (params_.enableEnergy)
-        energyNj_ += energy;
+        energyNj_ += charge.energyNj;
 
     maybeResize(region);
 
@@ -573,10 +524,102 @@ MolecularCache::accessTicked(const MemAccess &a)
 
     AccessResult result;
     result.hit = hit;
-    result.energyNj = params_.enableEnergy ? energy : 0.0;
-    result.latencyCycles = latency;
-    result.level = level;
+    result.energyNj = params_.enableEnergy ? charge.energyNj : 0.0;
+    result.latencyCycles = charge.latency;
+    result.level = charge.level;
     return result;
+}
+
+Molecule *
+MolecularCache::locate(Region &region, const ProbeSchedule &plan,
+                       const MemAccess &a, WayMemoEntry *memoSlot,
+                       MemoTally &memo, AccessCharge &charge)
+{
+    const TileId home = region.homeTile();
+
+    // Way-memoization (docs/perf.md): verify the last-hit molecule for
+    // this (row, line-index) key with a single tag probe before paying
+    // for the full lookup.  The verification makes the shortcut
+    // self-correcting, and probes/energy/latency were already charged
+    // for the whole home schedule — the model cannot tell the
+    // difference.
+    const u32 tag_bits = static_cast<u32>(a.addr >> lineShift_ >> 10);
+    if (memoSlot != nullptr && memoSlot->mol != kInvalidMolecule &&
+        memoSlot->tagBits == tag_bits) {
+        Molecule &m = molecule(memoSlot->mol);
+        // Live re-validation: the prediction survived membership churn,
+        // so re-check the figure-3 ASID gate and the home tile before
+        // trusting the verification probe.  A molecule that passes both
+        // is in today's home schedule (its tile never changes; an
+        // admitted molecule on the home tile is either the region's own
+        // or shared-bit, both probed).
+        if (m.admits(a.asid) && m.tile() == home &&
+            m.probe(a.addr) == Molecule::ProbeOutcome::Hit) {
+            ++memo.hits;
+            return &m;
+        }
+        memoSlot->mol = kInvalidMolecule;
+        ++memo.mispredicts;
+    }
+
+    // The residency index names the one molecule of the region that can
+    // hit.  It is exact unless another region's shared-bit molecule on
+    // the home tile could answer too, or a transient flip left a
+    // poisoned line that the in-order walk must find and scrub; then
+    // the walk runs as before.
+    const bool exact =
+        indexOn_ && indexed(region) && plan.foreignShared == 0;
+    Molecule *found = nullptr;
+    Molecule *hit = nullptr;
+    if (exact) {
+        const MoleculeId id =
+            residency_.find(a.asid, lineAddrOf(a.addr, params_.lineSize));
+        if (id != kInvalidMolecule) {
+            found = &molecule(id);
+            MOLCACHE_EXPECT(found->probe(a.addr) ==
+                                Molecule::ProbeOutcome::Hit,
+                            "residency index disagrees with molecule ", id);
+            if (found->tile() == home)
+                hit = found;
+        }
+    } else {
+        hit = probeTile(home, plan.home, a.addr);
+    }
+    if (hit != nullptr) {
+        if (memoSlot != nullptr)
+            *memoSlot = WayMemoEntry{tag_bits, hit->id()};
+        return hit;
+    }
+    if (plan.remote.empty())
+        return nullptr;
+
+    // Tile miss: Ulmo forwards to the region's other tiles.  With the
+    // index, each tile up to the holder's is charged as the walk would
+    // charge it; only the tag reads are skipped.
+    Ulmo &ulmo = ulmos_[region.homeCluster().value()];
+    ulmo.noteTileMiss();
+    for (const TileProbes &tp : plan.remote) {
+        const u32 n = static_cast<u32>(tp.molecules.size());
+        charge.energyNj += ulmoHopNj_ + tileAccessEnergyNj(n);
+        charge.latency += params_.ulmoHopCycles + params_.asidStageCycles +
+                          params_.moleculeAccessCycles;
+        charge.probes += n;
+        tiles_[tp.tile.value()].notePortAccess();
+        ulmo.noteRemoteProbes(n);
+        if (exact)
+            hit = found != nullptr && found->tile() == tp.tile ? found
+                                                               : nullptr;
+        else
+            hit = probeTile(tp.tile, tp.molecules, a.addr);
+        if (hit != nullptr) {
+            ulmo.noteRemoteHit();
+            charge.level = 1;
+            return hit;
+        }
+    }
+    MOLCACHE_ENSURE(found == nullptr,
+                    "indexed molecule outside the probe schedule");
+    return nullptr;
 }
 
 void
@@ -623,7 +666,6 @@ MolecularCache::batchFastRun(const MemAccess *in, AccessResult *out,
         params_.resizeScheme == ResizeScheme::PerAppAdaptive;
     const bool lru = params_.placement == PlacementPolicy::LruDirect;
     const bool energy_on = params_.enableEnergy;
-    const u32 line_mask = linesPerMol_ - 1;
     // Running energy total in a register: the adds happen in the same
     // per-record order as the scalar path, so the flushed value is
     // bit-identical to accumulating in memory.
@@ -665,94 +707,23 @@ MolecularCache::batchFastRun(const MemAccess *in, AccessResult *out,
         }
         Region &region = *rp;
 
-        u32 probes = lane.homeProbes;
-        double energy = lane.homeEnergy;
-        Cycles latency = hit_latency;
-        u8 level = 0;
-
-        // Way-memo prediction first, exactly as the scalar path.
-        Molecule *hit_mol = nullptr;
-        WayMemoEntry *memo_slot = nullptr;
-        const u32 tag_bits = static_cast<u32>(a.addr >> lineShift_ >> 10);
-        if (lane.regionSize != 0) {
-            memo_slot = &lane.slots[(a.addr >> lineShift_) & lane.mask];
-            if (memo_slot->mol != kInvalidMolecule &&
-                memo_slot->tagBits == tag_bits) {
-                Molecule &m = molecule(memo_slot->mol);
-                if (m.admits(a.asid) && m.tile() == region.homeTile() &&
-                    m.probe(a.addr) == Molecule::ProbeOutcome::Hit) {
-                    hit_mol = &m;
-                    ++lane.pendMemoHits;
-                } else {
-                    memo_slot->mol = kInvalidMolecule;
-                    ++lane.pendMispredicts;
-                }
-            }
-        }
-
-        if (hit_mol == nullptr) {
-            // Mispredict / no prediction: scan the home schedule over
-            // the tile's SoA tag view.  In-order first match preserves
-            // probeTile()'s semantics; the fuse guarantees no poisoned
-            // line exists, and the flag check keeps even that case from
-            // reading a corrupt slot as a hit.
-            const Addr tag = a.addr >> tagShift_;
-            const u32 li = static_cast<u32>(a.addr >> lineShift_) &
-                           line_mask;
-            const u32 *base = lane.slotBase.data();
-            const u32 count = lane.homeProbes;
-            u32 j = 0;
-            for (; j < count; ++j) {
-                if (j + 2 < count) {
-                    const u32 pf = base[j + 2] + li;
-                    __builtin_prefetch(lane.flags + pf, 0, 1);
-                    __builtin_prefetch(lane.tags + pf, 0, 1);
-                }
-                const u32 slot = base[j] + li;
-                const u8 f = lane.flags[slot];
-                if ((f & (kLineValid | kLinePoisoned)) == kLineValid &&
-                    lane.tags[slot] == tag)
-                    break;
-            }
-            if (j < count) {
-                hit_mol = lane.homeMols[j];
-                if (memo_slot != nullptr)
-                    *memo_slot = WayMemoEntry{tag_bits, hit_mol->id()};
-            }
-        }
-
-        if (hit_mol == nullptr && !lane.plan->remote.empty()) [[unlikely]] {
-            // Tile miss with a multi-tile region: Ulmo escalation, same
-            // as the scalar path (direct accounting — remote records
-            // are not uniform, so nothing about them is deferred).
-            Ulmo &ulmo = ulmos_[region.homeCluster().value()];
-            ulmo.noteTileMiss();
-            for (const TileProbes &tp : lane.plan->remote) {
-                const u32 m = static_cast<u32>(tp.molecules.size());
-                energy += ulmoHopNj_ + tileAccessEnergyNj(m);
-                latency += params_.ulmoHopCycles +
-                           params_.asidStageCycles +
-                           params_.moleculeAccessCycles;
-                probes += m;
-                tiles_[tp.tile.value()].notePortAccess();
-                ulmo.noteRemoteProbes(m);
-                hit_mol = probeTile(tp.tile, tp.molecules, a.addr);
-                if (hit_mol != nullptr) {
-                    ulmo.noteRemoteHit();
-                    level = 1;
-                    break;
-                }
-            }
-        }
+        AccessCharge charge{lane.homeProbes, lane.homeEnergy, hit_latency,
+                            0};
+        WayMemoEntry *memo_slot =
+            lane.regionSize != 0
+                ? &lane.slots[(a.addr >> lineShift_) & lane.mask]
+                : nullptr;
+        Molecule *hit_mol =
+            locate(region, *lane.plan, a, memo_slot, lane.pendMemo, charge);
 
         const bool hit = hit_mol != nullptr;
-        if (hit && level == 0 && !a.isWrite()) [[likely]] {
+        if (hit && charge.level == 0 && !a.isWrite()) [[likely]] {
             // The uniform record: a home-tile read hit.  Everything the
             // scalar path would add is a constant of the lane — defer.
             ++lane.pendHits;
             if (lru)
                 hit_mol->noteTouch(a.addr, tick_);
-        } else if (hit && level == 0) {
+        } else if (hit && charge.level == 0) {
             // Home-tile write hit: still uniform in probes/latency, but
             // the coherence write path runs inline.
             ++lane.pendHits;
@@ -780,22 +751,22 @@ MolecularCache::batchFastRun(const MemAccess *in, AccessResult *out,
                         line, a.asid, region.homeCluster());
                 }
             } else {
-                level = 2;
-                latency += params_.missPenaltyCycles;
-                energy += handleMiss(region, a);
+                charge.level = 2;
+                charge.latency += params_.missPenaltyCycles;
+                charge.energyNj += handleMiss(region, a);
             }
             region.noteAccess(hit);
-            stats_.record(a.asid, hit, a.isWrite(), latency);
+            stats_.record(a.asid, hit, a.isWrite(), charge.latency);
             intervalAccesses_.increment();
             if (!hit)
                 intervalMisses_.increment();
-            probesTotal_ += probes;
+            probesTotal_ += charge.probes;
             enabledIntegral_ += region.size();
         }
         if (energy_on)
-            e_acc += energy;
-        out[i] = AccessResult{hit, energy_on ? energy : 0.0, latency,
-                              level};
+            e_acc += charge.energyNj;
+        out[i] = AccessResult{hit, energy_on ? charge.energyNj : 0.0,
+                              charge.latency, charge.level};
 
         // Resize scheduling, per record as in the scalar path.  The
         // global schemes gate on the access tick, the per-app scheme on
@@ -829,10 +800,7 @@ MolecularCache::refreshBatchLane(BatchLane &lane, Region &region,
     lane.region = &region;
     lane.gen = region.generation();
     lane.sharedGen = sharedGen_;
-    Tile &home = tiles_[region.homeTile().value()];
-    lane.home = &home;
-    lane.tags = home.lineTags();
-    lane.flags = home.lineFlags();
+    lane.home = &tiles_[region.homeTile().value()];
     lane.regionSize = region.size();
     const std::vector<MoleculeId> &shared_home =
         sharedByTile_[region.homeTile().value()];
@@ -842,13 +810,6 @@ MolecularCache::refreshBatchLane(BatchLane &lane, Region &region,
     lane.plan = &plan;
     lane.homeProbes = static_cast<u32>(plan.home.size());
     lane.homeEnergy = tileAccessEnergyNj(lane.homeProbes);
-    lane.slotBase.clear();
-    lane.homeMols.clear();
-    for (const MoleculeId id : plan.home) {
-        lane.slotBase.push_back((id - home.firstMolecule()) *
-                                linesPerMol_);
-        lane.homeMols.push_back(&home.molecule(id));
-    }
     if (!region.empty()) {
         // Revalidate/rebuild the memo table under the same conditions
         // (and with the same invalidation accounting) as the scalar
@@ -871,10 +832,9 @@ MolecularCache::refreshBatchLane(BatchLane &lane, Region &region,
 void
 MolecularCache::flushBatchLane(BatchLane &lane)
 {
-    wayMemoHits_ += lane.pendMemoHits;
-    wayMemoMispredicts_ += lane.pendMispredicts;
-    lane.pendMemoHits = 0;
-    lane.pendMispredicts = 0;
+    wayMemoTally_.hits += lane.pendMemo.hits;
+    wayMemoTally_.mispredicts += lane.pendMemo.mispredicts;
+    lane.pendMemo = MemoTally{};
     if (lane.pendHits == 0)
         return;
     Region &region = *lane.region;
@@ -920,6 +880,7 @@ MolecularCache::handleMiss(Region &region, const MemAccess &a)
             : region.chooseFillMolecule(a.addr, *rng_);
     Molecule &mol = molecule(mol_id);
 
+    const bool track = indexed(region);
     bool replaced = false;
     for (u32 i = 0; i < region.lineMultiple(); ++i) {
         const Addr la = base + static_cast<u64>(i) * params_.lineSize;
@@ -937,7 +898,11 @@ MolecularCache::handleMiss(Region &region, const MemAccess &a)
             }
             directory_.noteEviction(LineAddr{ev->addr},
                                     region.homeCluster());
+            if (track)
+                residency_.erase(LineAddr{ev->addr}, mol_id);
         }
+        if (track)
+            residency_.insert(a.asid, LineAddr{la}, mol_id);
         applyInvalidations(
             directory_.noteFill(LineAddr{la}, region.homeCluster(), dirty),
             LineAddr{la}, a.asid, region.homeCluster());
@@ -987,6 +952,16 @@ MolecularCache::applyInvalidations(ClusterMask clusters, LineAddr lineAddr,
         for (auto &[asid, region] : regions_) {
             if (region.homeCluster() != c || asid == except)
                 continue;
+            if (indexed(region)) {
+                // The index names the only molecule that can hold it.
+                const MoleculeId id = residency_.find(asid, lineAddr);
+                if (id == kInvalidMolecule)
+                    continue;
+                if (molecule(id).invalidate(lineAddr.value()))
+                    stats_.recordWriteback(asid);
+                residency_.erase(lineAddr, id);
+                continue;
+            }
             for (const auto &[tile, mols] : region.byTile()) {
                 for (const MoleculeId id : mols) {
                     if (molecule(id).invalidate(lineAddr.value()))
@@ -1000,6 +975,7 @@ MolecularCache::applyInvalidations(ClusterMask clusters, LineAddr lineAddr,
                 Molecule &m = molecule(id);
                 if (m.invalidate(lineAddr.value()))
                     stats_.recordWriteback(m.configuredAsid());
+                residency_.erase(lineAddr, id);
             }
         }
     }
@@ -1150,8 +1126,11 @@ MolecularCache::withdraw(Region &region, u32 count)
         if (id == kInvalidMolecule)
             break;
         Molecule &m = molecule(id);
-        for (const Addr la : m.residentLines())
+        for (const Addr la : m.residentLines()) {
             directory_.noteEviction(LineAddr{la}, region.homeCluster());
+            if (indexed(region))
+                residency_.erase(LineAddr{la}, id);
+        }
         const u32 dirty = tiles_[m.tile().value()].release(id);
         for (u32 i = 0; i < dirty; ++i)
             stats_.recordWriteback(region.asid());
@@ -1179,8 +1158,7 @@ MolecularCache::resetStats()
     energyNj_ = 0.0;
     probesTotal_ = 0;
     enabledIntegral_ = 0;
-    wayMemoHits_ = 0;
-    wayMemoMispredicts_ = 0;
+    wayMemoTally_ = MemoTally{};
     wayMemoInvalidations_ = 0;
 }
 
@@ -1242,10 +1220,11 @@ MolecularCache::injectTransientFlip(MoleculeId id, u32 line)
     Molecule &m = molecule(id);
     ++faultStats_.transientFlipsInjected;
     // Poison must be discovered by the full in-order schedule walk —
-    // probeTile scrubs the slot and accounts the loss — so the memo
-    // shortcut (which skips earlier schedule entries) is retired for
-    // the rest of the run on the first flip, in every access path.
+    // probeTile scrubs the slot and accounts the loss — so the memo and
+    // index shortcuts (which skip schedule entries) are retired for the
+    // rest of the run on the first flip, in every access path.
     wayMemoOn_ = false;
+    indexOn_ = false;
     if (m.decommissioned())
         return; // fenced arrays are power-gated: nothing to corrupt
     m.poisonLine(line % params_.linesPerMolecule());
@@ -1303,8 +1282,11 @@ MolecularCache::decommissionMolecule(MoleculeId id)
             // Drain: the directory forgets the lines, the replacement
             // view forgets the molecule, and the region notes the
             // capacity hole so the resizer re-acquires around it.
-            for (const Addr la : m.residentLines())
+            for (const Addr la : m.residentLines()) {
                 directory_.noteEviction(LineAddr{la}, region.homeCluster());
+                if (indexed(region))
+                    residency_.erase(LineAddr{la}, id);
+            }
             region.removeMolecule(id);
             region.noteMoleculeLost();
             break;

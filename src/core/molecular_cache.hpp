@@ -18,6 +18,10 @@
  *      lines) is fetched and placed into a molecule chosen by the
  *      region's placement policy — Random or Randy (level 2).
  *
+ * Where it is exact, a residency index finds the line for steps 1-2
+ * without reading every molecule's tag; the probes the hardware makes
+ * are charged all the same (docs/perf.md "The residency index").
+ *
  * Dynamic energy is accounted per probe using the CACTI-flavoured model:
  * tile wire flight + all-tile ASID comparators + per-molecule array
  * reads, plus an Ulmo hop for escalated lookups.
@@ -38,6 +42,7 @@
 #include "core/params.hpp"
 #include "core/placement.hpp"
 #include "core/region.hpp"
+#include "core/residency.hpp"
 #include "core/resizer.hpp"
 #include "core/tile.hpp"
 #include "core/ulmo.hpp"
@@ -91,11 +96,10 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
     /**
      * Batched access plane (docs/perf.md): processes the block through
      * per-ASID lanes that hoist the probe-schedule and way-memo
-     * revalidation behind the same generation stamps, scan the home
-     * tile's struct-of-arrays tag view with software prefetch, and
-     * accumulate the uniform home-hit bookkeeping in lane-local
-     * counters flushed at slow-path boundaries.  Byte-identical to
-     * calling access() in order — pinned by the differential suite
+     * revalidation behind the same generation stamps, share the scalar
+     * path's lookup (locate()), and accumulate the uniform home-hit
+     * bookkeeping in lane-local counters flushed at slow-path
+     * boundaries.  Byte-identical to calling access() in order — pinned by the differential suite
      * (tests/core/batch_differential_test.cpp).  Configurations the
      * lanes cannot hoist safely (guardian hooks, audit hooks,
      * row-restricted lookup, memoization off or poisoned by a fault)
@@ -175,8 +179,8 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
      * generation stamps (invalidations).  Pure simulator-speed
      * accounting — modeled probe/energy/latency counters never see the
      * shortcut. */
-    u64 wayMemoHits() const { return wayMemoHits_; }
-    u64 wayMemoMispredicts() const { return wayMemoMispredicts_; }
+    u64 wayMemoHits() const { return wayMemoTally_.hits; }
+    u64 wayMemoMispredicts() const { return wayMemoTally_.mispredicts; }
     u64 wayMemoInvalidations() const { return wayMemoInvalidations_; }
     /** @} */
 
@@ -196,6 +200,10 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
      * forced migration or decommission would invalidate (service-level
      * remap-churn accounting, docs/fault_model.md). */
     u32 residentLines(Asid asid) const;
+
+    /** Lines in the residency index: the resident lines of every region
+     * it tracks (line multiple 1 under whole-region lookup). */
+    size_t residencyEntries() const { return residency_.entries(); }
 
     /** Signature of the debug audit hook SimAccess can install. */
     using AuditHook = std::function<void(const MolecularCache &)>;
@@ -287,6 +295,16 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
     Molecule *probeTile(TileId tile, const std::vector<MoleculeId> &mols,
                         Addr addr);
 
+    /** True when @p region's lines are kept in the residency index:
+     * whole-region lookup at line multiple 1.  A fill there follows a
+     * lookup that missed every molecule of the region, so each line is
+     * resident in at most one of them. */
+    bool
+    indexed(const Region &region) const
+    {
+        return region.lineMultiple() == 1 && !params_.rowRestrictedLookup;
+    }
+
     /** One way-memoization prediction: the last molecule that produced
      * a home-tile hit for a line address hashing to this slot.  The
      * stored tag bits filter hash collisions — a colliding line simply
@@ -319,15 +337,49 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
      * stay one implementation. */
     AccessResult accessTicked(const MemAccess &access);
 
+    /** Way-memo outcomes: the cache's own tallies, or a batch lane's
+     * deferred ones. */
+    struct MemoTally
+    {
+        u64 hits = 0;
+        u64 mispredicts = 0;
+    };
+
+    /** Modeled charges of one access, accumulated as the lookup
+     * escalates from the home tile to Ulmo's remote tiles. */
+    struct AccessCharge
+    {
+        u32 probes = 0;
+        double energyNj = 0.0;
+        Cycles latency{};
+        u8 level = 0;
+    };
+
+    /**
+     * The lookup half of an access, shared by access() and the batch
+     * plane.  Verifies the way-memo prediction in @p memoSlot (null when
+     * memoization is off or the region is empty) first, then reads the
+     * residency index where it is exact for the region, and walks @p plan
+     * with probeTile() everywhere else.  On a home-tile miss the remote
+     * tiles are charged to @p charge in schedule order up to and
+     * including the tile that hits (all of them on a miss), and a
+     * remote hit sets charge.level to 1.  The caller has already
+     * charged the home schedule.
+     * @return the hit molecule, or nullptr on a miss
+     */
+    Molecule *locate(Region &region, const ProbeSchedule &plan,
+                     const MemAccess &access, WayMemoEntry *memoSlot,
+                     MemoTally &memo, AccessCharge &charge);
+
     /**
      * One per-ASID lane of the batch access plane: everything the scalar
      * path re-derives per access, hoisted once and re-validated by the
      * same (region generation, shared generation) stamps as the probe
      * schedules, plus the deferred accumulators for the uniform
      * home-tile-hit records.  Pointers target stable storage (region map
-     * nodes, tile SoA arrays, way-memo slot buffers); the stamp check
-     * gates every dereference, so a stale lane is refreshed before any
-     * pointer is used.
+     * nodes, tiles, memoized schedules, way-memo slot buffers); the
+     * stamp check gates every dereference, so a stale lane is refreshed
+     * before any pointer is used.
      */
     struct BatchLane
     {
@@ -337,13 +389,8 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
         /** Way-memo table view (null while the region is empty). */
         WayMemoEntry *slots = nullptr;
         u64 mask = 0;
-        /** Home-tile SoA view + per-probe slot offsets of the schedule. */
         Tile *home = nullptr;
-        const Addr *tags = nullptr;
-        const u8 *flags = nullptr;
         const ProbeSchedule *plan = nullptr;
-        std::vector<u32> slotBase;
-        std::vector<Molecule *> homeMols;
         u32 homeProbes = 0;
         double homeEnergy = 0.0;
         u32 regionSize = 0;
@@ -352,8 +399,7 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
         /** @{ Deferred accumulators: fast home-hit records only. */
         u64 pendHits = 0;
         u64 pendWrites = 0;
-        u64 pendMemoHits = 0;
-        u64 pendMispredicts = 0;
+        MemoTally pendMemo;
         /** @} */
     };
 
@@ -393,6 +439,8 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
     MolecularCacheParams params_;
     std::vector<Tile> tiles_;
     CoherenceDirectory directory_;
+    // (ASID, line) -> molecule for the indexed regions (see indexed()).
+    ResidencyIndex residency_;
     NocModel noc_;
     std::vector<Ulmo> ulmos_;
     // Ordered region authority: stable nodes (regionIndex_ points into
@@ -457,14 +505,15 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
      * flip: a poisoned slot must be discovered by the full in-order
      * walk (probeTile scrubs it), which a memo shortcut would skip. */
     bool wayMemoOn_ = false;
-    u64 wayMemoHits_ = 0;
-    u64 wayMemoMispredicts_ = 0;
+    /** Lookups may read the residency index; dropped for good by the
+     * first transient flip for the same reason.  The index itself stays
+     * exact: a poisoned line is resident until it is scrubbed. */
+    bool indexOn_ = true;
+    MemoTally wayMemoTally_;
     u64 wayMemoInvalidations_ = 0;
-    /** @{ Memo-key geometry: lines per molecule, log2(lineSize) and
-     * log2(lineSize * linesPerMolecule) (the molecule tag shift). */
+    /** @{ Memo-key geometry: lines per molecule and log2(lineSize). */
     u32 linesPerMol_ = 0;
     u32 lineShift_ = 0;
-    u32 tagShift_ = 0;
     /** @} */
 
     /** Batch-plane lanes, indexed by ASID value (parallel to

@@ -88,7 +88,10 @@ Region::findMol(MoleculeId mol) const
 void
 Region::addMolecule(MoleculeId mol, TileId tile, bool initial)
 {
-    MOLCACHE_EXPECT(!contains(mol), "molecule already in region");
+    // Always on: the residency index mirrors region membership, so a
+    // double add would desync it silently in Release.
+    if (contains(mol))
+        panic("molecule ", mol, " already in region ", asid_);
 
     u32 row;
     if (policy_ != PlacementPolicy::Randy) {
@@ -142,7 +145,8 @@ void
 Region::removeMolecule(MoleculeId mol)
 {
     const MolEntry *entry = findMol(mol);
-    MOLCACHE_EXPECT(entry != nullptr, "molecule not in region");
+    if (entry == nullptr)
+        panic("molecule ", mol, " not in region ", asid_);
     const u32 row = entry->row.value();
     const TileId tile = entry->tile;
 
@@ -184,7 +188,8 @@ Region::rowOf(Addr addr) const
 MoleculeId
 Region::chooseFillMolecule(Addr addr, RandomSource &rng) const
 {
-    MOLCACHE_EXPECT(size_ > 0, "fill into empty region");
+    if (size_ == 0)
+        panic("fill into empty region ", asid_);
     if (policy_ == PlacementPolicy::Randy) {
         const auto &row = rows_[rowOf(addr).value()];
         return row[rng.below(static_cast<u32>(row.size()))];
@@ -331,6 +336,7 @@ Region::rebuildSchedule(size_t slot, bool restrictRow,
     ProbeSchedule &s = schedules_[slot];
     s.home.clear();
     s.remote.clear();
+    s.foreignShared = 0;
 
     const std::vector<MoleculeId> *row =
         restrictRow ? &rows_[slot] : nullptr;
@@ -357,10 +363,14 @@ Region::rebuildSchedule(size_t slot, bool restrictRow,
 
     // Shared-bit molecules of the entry tile answer every request; they
     // are exempt from row restriction (the row hash is region-local).
-    if (sharedHome != nullptr)
-        for (const MoleculeId m : *sharedHome)
-            if (!contains(m))
+    if (sharedHome != nullptr) {
+        for (const MoleculeId m : *sharedHome) {
+            if (!contains(m)) {
                 s.home.push_back(m);
+                ++s.foreignShared;
+            }
+        }
+    }
 }
 
 } // namespace molcache

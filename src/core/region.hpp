@@ -54,6 +54,10 @@ struct ProbeSchedule
     std::vector<MoleculeId> home;
     /** Remote tiles, ascending tile order, probed via Ulmo. */
     std::vector<TileProbes> remote;
+    /** Trailing entries of `home` that are other regions' shared-bit
+     * molecules (they can hit lines the region's index does not
+     * know). */
+    u32 foreignShared = 0;
 };
 
 /**

@@ -13,7 +13,6 @@
 
 #include <vector>
 
-#include "contract/contract.hpp"
 #include "core/molecule.hpp"
 #include "util/types.hpp"
 
@@ -47,17 +46,22 @@ class Tile
         return mol >= first_ && mol < first_ + numMolecules();
     }
 
-    /* Inline: resolved once per probe on the access hot path. */
+    /* Inline: on the access hot path.  The bound check is always on —
+     * a foreign id would index another tile's storage — and where the
+     * residency index answers, an access resolves one or two molecules,
+     * so it costs a compare or two. */
     Molecule &
     molecule(MoleculeId mol)
     {
-        MOLCACHE_EXPECT(owns(mol), "molecule ", mol, " not on tile ", id_);
+        if (!owns(mol)) [[unlikely]]
+            foreignMolecule(mol);
         return molecules_[mol - first_];
     }
     const Molecule &
     molecule(MoleculeId mol) const
     {
-        MOLCACHE_EXPECT(owns(mol), "molecule ", mol, " not on tile ", id_);
+        if (!owns(mol)) [[unlikely]]
+            foreignMolecule(mol);
         return molecules_[mol - first_];
     }
 
@@ -98,35 +102,20 @@ class Tile
     void notePortAccesses(u64 n) { portAccesses_ += n; }
     u64 portAccesses() const { return portAccesses_; }
 
-    /** @{ Struct-of-arrays tag view for the batched access path
-     * (docs/perf.md).  All line state of the tile's molecules lives in
-     * these contiguous per-tile arrays; each molecule holds pointer
-     * views into its `linesPerMolecule()`-sized span.  The slot of
-     * address line index @p li in molecule @p mol is
-     * `(mol - firstMolecule()) * linesPerMolecule() + li` — a pure
-     * offset computation, no per-molecule pointer chase, so the batch
-     * kernel can prefetch the next probe target.  Coherent by
-     * construction: molecules mutate line state through the same
-     * storage. */
-    const Addr *lineTags() const { return soaTags_.data(); }
-    const u8 *lineFlags() const { return soaFlags_.data(); }
-    /** Configured ASID per molecule (figure 3's comparator column),
-     * mirrored on allocate/release/decommission. */
-    const Asid *moleculeAsids() const { return soaAsid_.data(); }
-    u32 linesPerMolecule() const { return linesPerMol_; }
-    /** @} */
-
   private:
+    /** Out of line, so the inline accessors stay small. */
+    [[noreturn]] void foreignMolecule(MoleculeId mol) const;
+
     TileId id_;
     ClusterId cluster_;
     MoleculeId first_;
-    u32 linesPerMol_;
-    /* SoA line state; declared before molecules_ so the arrays exist
-     * when the molecule views are constructed. */
+    /* Line state of every molecule of the tile, one contiguous array
+     * per field; each molecule views its linesPerMol-sized span, so a
+     * tile's tags sit next to each other in memory.  Declared before
+     * molecules_ so the arrays exist when the views are built. */
     std::vector<Addr> soaTags_;
     std::vector<Tick> soaTouched_;
     std::vector<u8> soaFlags_;
-    std::vector<Asid> soaAsid_;
     std::vector<Molecule> molecules_;
     u32 free_;
     u32 decommissioned_ = 0;
