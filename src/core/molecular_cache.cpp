@@ -197,18 +197,11 @@ MolecularCache::unregisterApplication(Asid asid)
     std::vector<MoleculeId> mols;
     for (const auto &[tile, ids] : region.byTile())
         mols.insert(mols.end(), ids.begin(), ids.end());
-    const bool track = indexed(region);
     for (const MoleculeId id : mols) {
-        Molecule &m = molecule(id);
-        for (const Addr la : m.residentLines()) {
-            directory_.noteEviction(LineAddr{la}, region.homeCluster());
-            if (track)
-                residency_.erase(LineAddr{la}, id);
-        }
-        const u32 dirty = tiles_[m.tile().value()].release(id);
+        drainMolecule(region, id);
+        const u32 dirty = tiles_[tileIndexOf(id)].release(id);
         for (u32 i = 0; i < dirty; ++i)
             stats_.recordWriteback(asid);
-        region.removeMolecule(id);
     }
     MOLCACHE_INVARIANT(appsPerCluster_[region.homeCluster().value()] > 0,
                        "cluster app count underflow");
@@ -1117,6 +1110,23 @@ MolecularCache::setRegionFloor(Asid asid, u32 floorMolecules)
     region.capacityFloor = floorMolecules;
 }
 
+void
+MolecularCache::drainMolecule(Region &region, MoleculeId id)
+{
+    Molecule &m = molecule(id);
+    // Releasing the molecule clears its shared bit; the tile's shared
+    // list and every cached probe schedule must forget it too.
+    if (m.sharedBit())
+        setSharedMolecule(id, false);
+    const bool track = indexed(region);
+    for (const Addr la : m.residentLines()) {
+        directory_.noteEviction(LineAddr{la}, region.homeCluster());
+        if (track)
+            residency_.erase(LineAddr{la}, id);
+    }
+    region.removeMolecule(id);
+}
+
 u32
 MolecularCache::withdraw(Region &region, u32 count)
 {
@@ -1125,16 +1135,10 @@ MolecularCache::withdraw(Region &region, u32 count)
         const MoleculeId id = region.pickWithdrawal();
         if (id == kInvalidMolecule)
             break;
-        Molecule &m = molecule(id);
-        for (const Addr la : m.residentLines()) {
-            directory_.noteEviction(LineAddr{la}, region.homeCluster());
-            if (indexed(region))
-                residency_.erase(LineAddr{la}, id);
-        }
-        const u32 dirty = tiles_[m.tile().value()].release(id);
+        drainMolecule(region, id);
+        const u32 dirty = tiles_[tileIndexOf(id)].release(id);
         for (u32 i = 0; i < dirty; ++i)
             stats_.recordWriteback(region.asid());
-        region.removeMolecule(id);
         ++got;
     }
     return got;
@@ -1274,20 +1278,12 @@ MolecularCache::decommissionMolecule(MoleculeId id)
     const Asid owner = m.configuredAsid();
 
     if (!m.isFree()) {
-        if (m.sharedBit())
-            setSharedMolecule(id, false);
         for (auto &[asid, region] : regions_) {
             if (!region.contains(id))
                 continue;
-            // Drain: the directory forgets the lines, the replacement
-            // view forgets the molecule, and the region notes the
-            // capacity hole so the resizer re-acquires around it.
-            for (const Addr la : m.residentLines()) {
-                directory_.noteEviction(LineAddr{la}, region.homeCluster());
-                if (indexed(region))
-                    residency_.erase(LineAddr{la}, id);
-            }
-            region.removeMolecule(id);
+            // The region notes the capacity hole so the resizer
+            // re-acquires around it.
+            drainMolecule(region, id);
             region.noteMoleculeLost();
             break;
         }

@@ -278,6 +278,14 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
     u32 grant(Region &region, u32 count) override;
     u32 withdraw(Region &region, u32 count) override;
 
+    /** Take @p id out of @p region before its tile releases or fences
+     * it: clear its shared bit (dropping it from the tile's shared list
+     * and staling cached schedules), note the directory evictions of its
+     * lines, drop them from the residency index, and remove it from the
+     * region.  Shared by withdraw, unregisterApplication and
+     * decommissionMolecule. */
+    void drainMolecule(Region &region, MoleculeId id);
+
     Region &regionFor(Asid asid);
     Tile &tileAt(TileId index) { return tiles_[index.value()]; }
 

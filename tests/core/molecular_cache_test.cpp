@@ -1,4 +1,5 @@
 #include "core/molecular_cache.hpp"
+#include "core/placement.hpp"
 #include "core/sim_access.hpp"
 
 #include <gtest/gtest.h>
@@ -190,6 +191,104 @@ TEST(MolecularCache, SharedMoleculeServesAllAsids)
     SimAccess{cache}.setSharedMolecule(holder, false);
     // ...so once unshared, app 2 no longer sees the line.
     EXPECT_FALSE(cache.access(read(0x2000, 2)).hit);
+}
+
+/**
+ * Molecules a miss of @p asid at @p addr probes: its region's lookup plan
+ * plus every other shared-bit molecule of its home tile (paper figure 3),
+ * read from the public molecule state.
+ */
+u32
+expectedMissProbes(const MolecularCache &cache, Asid asid, Addr addr)
+{
+    const Region &region = cache.region(asid);
+    u32 probes = planLookup(region, region.homeTile(), addr,
+                            cache.params().rowRestrictedLookup)
+                     .totalProbes();
+    const Tile &home = cache.tile(region.homeTile());
+    const MoleculeId first = home.firstMolecule();
+    for (MoleculeId id = first; id < first + home.numMolecules(); ++id)
+        if (cache.molecule(id).sharedBit() && !region.contains(id))
+            ++probes;
+    return probes;
+}
+
+/** Probes one access at @p addr costs, counted by the cache. */
+double
+probesOf(MolecularCache &cache, const MemAccess &a)
+{
+    cache.resetStats();
+    cache.access(a);
+    return cache.averageProbesPerAccess();
+}
+
+/** Two apps on tile 0; app 0 caches a line and its molecule is shared. */
+MoleculeId
+shareAppZeroMolecule(MolecularCache &cache)
+{
+    cache.registerApplication(Asid{0}, 0.1, ClusterId{0}, 0, 1);
+    cache.registerApplication(Asid{2}, 0.1, ClusterId{0}, 0, 1);
+    cache.access(read(0x2000, 0));
+    for (const auto &[tile, mols] : cache.region(Asid{0}).byTile())
+        for (const MoleculeId m : mols)
+            if (cache.molecule(m).lookup(0x2000)) {
+                SimAccess{cache}.setSharedMolecule(m, true);
+                return m;
+            }
+    return kInvalidMolecule;
+}
+
+// Releasing a shared-bit molecule must also drop it from its tile's
+// shared list: otherwise every later request entering the tile still
+// probes the free (or reassigned) molecule.
+TEST(MolecularCache, UnregisterForgetsSharedMolecule)
+{
+    MolecularCacheParams p = smallParams();
+    p.resizePeriod = 1u << 30;
+    p.maxResizePeriod = 1u << 30;
+    MolecularCache cache(p);
+    const MoleculeId shared = shareAppZeroMolecule(cache);
+    ASSERT_NE(shared, kInvalidMolecule);
+    EXPECT_EQ(probesOf(cache, read(0x8000, 2)),
+              expectedMissProbes(cache, Asid{2}, 0x8000));
+    cache.unregisterApplication(Asid{0});
+    EXPECT_FALSE(cache.molecule(shared).sharedBit());
+    const u32 expected = expectedMissProbes(cache, Asid{2}, 0x9000);
+    EXPECT_EQ(expected, cache.region(Asid{2}).size());
+    EXPECT_EQ(probesOf(cache, read(0x9000, 2)), expected);
+}
+
+TEST(MolecularCache, DecommissionForgetsSharedMolecule)
+{
+    MolecularCacheParams p = smallParams();
+    p.resizePeriod = 1u << 30;
+    p.maxResizePeriod = 1u << 30;
+    MolecularCache cache(p);
+    const MoleculeId shared = shareAppZeroMolecule(cache);
+    ASSERT_NE(shared, kInvalidMolecule);
+    ASSERT_TRUE(SimAccess{cache}.decommissionMolecule(shared));
+    EXPECT_FALSE(cache.molecule(shared).sharedBit());
+    EXPECT_EQ(probesOf(cache, read(0x9000, 2)),
+              expectedMissProbes(cache, Asid{2}, 0x9000));
+}
+
+TEST(MolecularCache, WithdrawalForgetsSharedMolecules)
+{
+    MolecularCacheParams p = smallParams();
+    p.initialAllocation = InitialAllocation::FullTile;
+    MolecularCache cache(p);
+    cache.registerApplication(Asid{0}, /*goal=*/0.5, ClusterId{0}, 0, 1);
+    for (const auto &[tile, mols] : cache.region(Asid{0}).byTile())
+        for (const MoleculeId m : mols)
+            SimAccess{cache}.setSharedMolecule(m, true);
+    // Tiny working set, goal 50%: the resizer withdraws shared molecules.
+    for (u32 i = 0; i < 50000; ++i)
+        cache.access(read((i % 16) * 64));
+    ASSERT_LT(cache.region(Asid{0}).size(), 8u);
+    const Addr fresh = 0x100000;
+    const u32 expected = expectedMissProbes(cache, Asid{0}, fresh);
+    EXPECT_EQ(expected, cache.region(Asid{0}).size());
+    EXPECT_EQ(probesOf(cache, read(fresh, 0)), expected);
 }
 
 TEST(MolecularCache, CrossClusterInvalidationOnSharedAddress)
