@@ -77,6 +77,8 @@ struct GuardianAppTelemetry
     bool quarantined = false;
     u32 quarantineEvents = 0;
     /** @} */
+
+    bool operator==(const GuardianAppTelemetry &) const = default;
 };
 
 /** Whole-cache guardian aggregate carried by SimResult. */
@@ -110,6 +112,8 @@ struct GuardianSummary
     /** Lowest per-region trust (1.0 when no region was ever hinted). */
     double minTrust = 1.0;
     /** @} */
+
+    bool operator==(const GuardianSummary &) const = default;
 };
 
 } // namespace molcache

@@ -40,7 +40,8 @@ MolecularCache::MolecularCache(const MolecularCacheParams &params)
         tiles_.emplace_back(TileId{t}, ClusterId{t / params_.tilesPerCluster},
                             MoleculeId{t * params_.moleculesPerTile},
                             params_.moleculesPerTile,
-                            params_.linesPerMolecule(), params_.lineSize);
+                            params_.linesPerMolecule(), params_.lineSize,
+                            params_.placement == PlacementPolicy::LruDirect);
     }
 
     ulmos_.reserve(params_.clusters);
@@ -530,30 +531,14 @@ MolecularCache::locate(Region &region, const ProbeSchedule &plan,
 {
     const TileId home = region.homeTile();
 
-    // Way-memoization (docs/perf.md): verify the last-hit molecule for
-    // this (row, line-index) key with a single tag probe before paying
-    // for the full lookup.  The verification makes the shortcut
-    // self-correcting, and probes/energy/latency were already charged
-    // for the whole home schedule — the model cannot tell the
-    // difference.
+    // Way-memoization (docs/perf.md): a prediction of the last-hit
+    // molecule for this (row, line-index) key.  Probes/energy/latency
+    // were already charged for the whole home schedule, so the model
+    // cannot tell whether the prediction or the full lookup answered.
     const u32 tag_bits = static_cast<u32>(a.addr >> lineShift_ >> 10);
-    if (memoSlot != nullptr && memoSlot->mol != kInvalidMolecule &&
-        memoSlot->tagBits == tag_bits) {
-        Molecule &m = molecule(memoSlot->mol);
-        // Live re-validation: the prediction survived membership churn,
-        // so re-check the figure-3 ASID gate and the home tile before
-        // trusting the verification probe.  A molecule that passes both
-        // is in today's home schedule (its tile never changes; an
-        // admitted molecule on the home tile is either the region's own
-        // or shared-bit, both probed).
-        if (m.admits(a.asid) && m.tile() == home &&
-            m.probe(a.addr) == Molecule::ProbeOutcome::Hit) {
-            ++memo.hits;
-            return &m;
-        }
-        memoSlot->mol = kInvalidMolecule;
-        ++memo.mispredicts;
-    }
+    const bool predicted = memoSlot != nullptr &&
+                           memoSlot->mol != kInvalidMolecule &&
+                           memoSlot->tagBits == tag_bits;
 
     // The residency index names the one molecule of the region that can
     // hit.  It is exact unless another region's shared-bit molecule on
@@ -572,10 +557,38 @@ MolecularCache::locate(Region &region, const ProbeSchedule &plan,
             MOLCACHE_EXPECT(found->probe(a.addr) ==
                                 Molecule::ProbeOutcome::Hit,
                             "residency index disagrees with molecule ", id);
-            if (found->tile() == home)
+            if (tileIndexOf(id) == home.value())
                 hit = found;
         }
+        // The memo verdict, read off the index: no admitted molecule on
+        // the home tile but the indexed one can hold the line, so the
+        // live check below would pass exactly when the prediction names
+        // it there.  A hit then reads no line state.
+        if (predicted) {
+            if (hit != nullptr && memoSlot->mol == id) {
+                ++memo.hits;
+                return hit;
+            }
+            memoSlot->mol = kInvalidMolecule;
+            ++memo.mispredicts;
+        }
     } else {
+        if (predicted) {
+            Molecule &m = molecule(memoSlot->mol);
+            // Live re-validation: the prediction survived membership
+            // churn, so re-check the figure-3 ASID gate and the home
+            // tile before trusting a verification probe.  A molecule
+            // that passes both is in today's home schedule (its tile
+            // never changes; an admitted molecule on the home tile is
+            // either the region's own or shared-bit, both probed).
+            if (m.admits(a.asid) && m.tile() == home &&
+                m.probe(a.addr) == Molecule::ProbeOutcome::Hit) {
+                ++memo.hits;
+                return &m;
+            }
+            memoSlot->mol = kInvalidMolecule;
+            ++memo.mispredicts;
+        }
         hit = probeTile(home, plan.home, a.addr);
     }
     if (hit != nullptr) {
@@ -626,12 +639,13 @@ MolecularCache::accessBatch(std::span<const MemAccess> in,
     // The fast plane hoists revalidation behind generation stamps and
     // defers uniform bookkeeping, which requires: way-memoization live
     // (its poison fuse also guarantees no corrupt line exists anywhere),
-    // no guardian (its noteAccess hook observes every access in order),
-    // no audit hook (audits expect quiescent, fully-applied counters)
-    // and whole-region lookup (row-restricted schedules vary per
-    // address).  Everything else replays through the scalar reference
-    // path — identical by construction.
-    const bool eligible = wayMemoOn_ && guardian_ == nullptr &&
+    // no predictive guardian (its hint wakeup compares against the
+    // region's access count, which the lanes defer), no audit hook
+    // (audits expect quiescent, fully-applied counters) and
+    // whole-region lookup (row-restricted schedules vary per address).
+    // Everything else replays through the scalar reference path —
+    // identical by construction.
+    const bool eligible = wayMemoOn_ && !acceptsPhaseHints() &&
                           !params_.rowRestrictedLookup &&
                           !(auditInterval_ != 0 && auditHook_);
     if (!eligible) {
@@ -659,6 +673,7 @@ MolecularCache::batchFastRun(const MemAccess *in, AccessResult *out,
         params_.resizeScheme == ResizeScheme::PerAppAdaptive;
     const bool lru = params_.placement == PlacementPolicy::LruDirect;
     const bool energy_on = params_.enableEnergy;
+    QosGuardian *const guardian = guardian_.get();
     // Running energy total in a register: the adds happen in the same
     // per-record order as the scalar path, so the flushed value is
     // bit-identical to accumulating in memory.
@@ -756,10 +771,20 @@ MolecularCache::batchFastRun(const MemAccess *in, AccessResult *out,
             probesTotal_ += charge.probes;
             enabledIntegral_ += region.size();
         }
+        // The guardian's QoS window sees every record in order, as in
+        // the scalar path; it reads its own counters and the region's
+        // goal, never the lane's deferred ones.
+        if (guardian != nullptr)
+            guardian->noteAccess(region, hit);
         if (energy_on)
             e_acc += charge.energyNj;
-        out[i] = AccessResult{hit, energy_on ? charge.energyNj : 0.0,
-                              charge.latency, charge.level};
+        // Field by field: a braced temporary is built with byte stores
+        // and copied back with wide loads that stall on them.
+        AccessResult &r = out[i];
+        r.hit = hit;
+        r.energyNj = energy_on ? charge.energyNj : 0.0;
+        r.latencyCycles = charge.latency;
+        r.level = charge.level;
 
         // Resize scheduling, per record as in the scalar path.  The
         // global schemes gate on the access tick, the per-app scheme on

@@ -99,11 +99,12 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
      * revalidation behind the same generation stamps, share the scalar
      * path's lookup (locate()), and accumulate the uniform home-hit
      * bookkeeping in lane-local counters flushed at slow-path
-     * boundaries.  Byte-identical to calling access() in order — pinned by the differential suite
+     * boundaries.  Byte-identical to calling access() in order —
+     * pinned by the differential suite
      * (tests/core/batch_differential_test.cpp).  Configurations the
-     * lanes cannot hoist safely (guardian hooks, audit hooks,
-     * row-restricted lookup, memoization off or poisoned by a fault)
-     * fall back to the scalar reference loop.
+     * lanes cannot hoist safely (the guardian's predictive mode, audit
+     * hooks, row-restricted lookup, memoization off or poisoned by a
+     * fault) fall back to the scalar reference loop.
      */
     void accessBatch(std::span<const MemAccess> in,
                      std::span<AccessResult> out) override;
@@ -365,13 +366,14 @@ class MolecularCache final : public CacheModel, private MoleculeBroker
 
     /**
      * The lookup half of an access, shared by access() and the batch
-     * plane.  Verifies the way-memo prediction in @p memoSlot (null when
-     * memoization is off or the region is empty) first, then reads the
-     * residency index where it is exact for the region, and walks @p plan
-     * with probeTile() everywhere else.  On a home-tile miss the remote
-     * tiles are charged to @p charge in schedule order up to and
-     * including the tile that hits (all of them on a miss), and a
-     * remote hit sets charge.level to 1.  The caller has already
+     * plane.  Where the residency index is exact for the region it
+     * reads the index and derives the verdict on the way-memo
+     * prediction in @p memoSlot (null when memoization is off or the
+     * region is empty) from it; everywhere else it verifies the
+     * prediction with a live probe and walks @p plan with probeTile().
+     * On a home-tile miss the remote tiles are charged to @p charge in
+     * schedule order up to and including the tile that hits (all of
+     * them on a miss), and a remote hit sets charge.level to 1.  The caller has already
      * charged the home schedule.
      * @return the hit molecule, or nullptr on a miss
      */

@@ -7,41 +7,34 @@ namespace molcache {
 
 Molecule::Molecule(MoleculeId id, TileId tile, u32 numLines,
                    u32 lineSize)
-    : id_(id), tile_(tile), numLines_(numLines), lineSize_(lineSize),
-      ownTags_(numLines, 0), ownTouched_(numLines, 0),
-      ownFlags_(numLines, 0)
+    : Molecule(id, tile, numLines, lineSize, nullptr, nullptr)
 {
-    MOLCACHE_EXPECT(numLines > 0 && isPowerOfTwo(numLines),
-                    "molecule lines must be a power of two");
-    MOLCACHE_EXPECT(isPowerOfTwo(lineSize), "line size must be 2^k");
-    lineShift_ = floorLog2(lineSize);
-    tagShift_ = lineShift_ + floorLog2(numLines);
-    tags_ = ownTags_.data();
+    ownLines_.assign(numLines, 0);
+    ownTouched_.assign(numLines, 0);
+    lines_ = ownLines_.data();
     touched_ = ownTouched_.data();
-    flags_ = ownFlags_.data();
 }
 
 Molecule::Molecule(MoleculeId id, TileId tile, u32 numLines, u32 lineSize,
-                   Addr *tags, Tick *touched, u8 *flags)
+                   u64 *lines, Tick *touched)
     : id_(id), tile_(tile), numLines_(numLines), lineSize_(lineSize),
-      tags_(tags), touched_(touched), flags_(flags)
+      lines_(lines), touched_(touched)
 {
     MOLCACHE_EXPECT(numLines > 0 && isPowerOfTwo(numLines),
                     "molecule lines must be a power of two");
     MOLCACHE_EXPECT(isPowerOfTwo(lineSize), "line size must be 2^k");
-    MOLCACHE_EXPECT(tags != nullptr && touched != nullptr &&
-                        flags != nullptr,
-                    "molecule line-view pointers must be non-null");
+    MOLCACHE_EXPECT(static_cast<u64>(numLines) * lineSize >=
+                        kMinMoleculeBytes,
+                    "molecule too small for the line-state bits");
     lineShift_ = floorLog2(lineSize);
-    tagShift_ = lineShift_ + floorLog2(numLines);
+    tagMask_ = ~((static_cast<Addr>(numLines) << lineShift_) - 1);
 }
 
 void
 Molecule::clearLine(u32 index)
 {
-    tags_[index] = 0;
-    touched_[index] = 0;
-    flags_[index] = 0;
+    lines_[index] = 0;
+    stamp(index, 0);
 }
 
 void
@@ -64,9 +57,7 @@ Molecule::release()
     u32 dirty = 0;
     for (u32 i = 0; i < numLines_; ++i) {
         // Poisoned lines are corrupt: dropped, never written back.
-        const u8 f = flags_[i];
-        if ((f & (kLineValid | kLineDirty | kLinePoisoned)) ==
-            (kLineValid | kLineDirty))
+        if ((lines_[i] & kLineStateBits) == (kLineValid | kLineDirty))
             ++dirty;
         clearLine(i);
     }
@@ -81,40 +72,38 @@ void
 Molecule::markDirty(Addr addr)
 {
     const u32 i = indexOf(addr);
-    MOLCACHE_EXPECT((flags_[i] & kLineValid) != 0 &&
-                        tags_[i] == tagOf(addr),
+    MOLCACHE_EXPECT((lines_[i] & kLineValid) != 0 &&
+                        sameTag(lines_[i], addr),
                     "markDirty on non-resident line");
-    flags_[i] |= kLineDirty;
+    lines_[i] |= kLineDirty;
 }
 
 std::optional<Eviction>
 Molecule::fill(Addr addr, bool dirty, Tick tick)
 {
     const u32 i = indexOf(addr);
-    const u8 f = flags_[i];
+    const u64 w = lines_[i];
     std::optional<Eviction> evicted;
-    if ((f & kLineValid) != 0) {
-        if (tags_[i] == tagOf(addr)) {
+    if ((w & kLineValid) != 0) {
+        if (sameTag(w, addr)) {
             // Refill of a resident line.  A poisoned copy is overwritten
             // by the fresh fill, which also clears the corruption — but
             // its dirty bit described lost data, so it must not merge.
-            const bool merged = (f & kLinePoisoned) != 0
+            const bool merged = (w & kLinePoisoned) != 0
                                     ? dirty
-                                    : ((f & kLineDirty) != 0 || dirty);
-            flags_[i] = kLineValid | (merged ? kLineDirty : 0);
-            touched_[i] = tick;
+                                    : ((w & kLineDirty) != 0 || dirty);
+            lines_[i] = (addr & tagMask_) | kLineValid |
+                        (merged ? kLineDirty : 0);
+            stamp(i, tick);
             return std::nullopt;
         }
-        // Reconstruct the displaced address from tag+index.
-        const Addr old = (tags_[i] * numLines_ + i) * lineSize_;
-        evicted = Eviction{old, (f & kLineDirty) != 0,
-                           (f & kLinePoisoned) != 0};
+        evicted = Eviction{lineAddrAt(i, w), (w & kLineDirty) != 0,
+                           (w & kLinePoisoned) != 0};
     } else {
         ++valid_;
     }
-    tags_[i] = tagOf(addr);
-    flags_[i] = kLineValid | (dirty ? kLineDirty : 0);
-    touched_[i] = tick;
+    lines_[i] = (addr & tagMask_) | kLineValid | (dirty ? kLineDirty : 0);
+    stamp(i, tick);
     return evicted;
 }
 
@@ -122,9 +111,11 @@ void
 Molecule::noteTouch(Addr addr, Tick tick)
 {
     const u32 i = indexOf(addr);
-    MOLCACHE_EXPECT((flags_[i] & kLineValid) != 0 &&
-                        tags_[i] == tagOf(addr),
+    MOLCACHE_EXPECT((lines_[i] & kLineValid) != 0 &&
+                        sameTag(lines_[i], addr),
                     "noteTouch on non-resident line");
+    MOLCACHE_EXPECT(touched_ != nullptr,
+                    "noteTouch on a molecule that keeps no stamps");
     touched_[i] = tick;
 }
 
@@ -132,8 +123,10 @@ std::optional<Tick>
 Molecule::slotTouchTick(Addr addr) const
 {
     const u32 i = indexOf(addr);
-    if ((flags_[i] & kLineValid) == 0)
+    if ((lines_[i] & kLineValid) == 0)
         return std::nullopt;
+    MOLCACHE_EXPECT(touched_ != nullptr,
+                    "slotTouchTick on a molecule that keeps no stamps");
     return touched_[i];
 }
 
@@ -143,8 +136,8 @@ Molecule::residentLines() const
     std::vector<Addr> out;
     out.reserve(valid_);
     for (u32 i = 0; i < numLines_; ++i) {
-        if ((flags_[i] & kLineValid) != 0)
-            out.push_back((tags_[i] * numLines_ + i) * lineSize_);
+        if ((lines_[i] & kLineValid) != 0)
+            out.push_back(lineAddrAt(i, lines_[i]));
     }
     return out;
 }
@@ -153,10 +146,10 @@ bool
 Molecule::invalidate(Addr addr)
 {
     const u32 i = indexOf(addr);
-    const u8 f = flags_[i];
-    if ((f & kLineValid) == 0 || tags_[i] != tagOf(addr))
+    const u64 w = lines_[i];
+    if ((w & kLineValid) == 0 || !sameTag(w, addr))
         return false;
-    const bool was_dirty = (f & (kLineDirty | kLinePoisoned)) == kLineDirty;
+    const bool was_dirty = (w & (kLineDirty | kLinePoisoned)) == kLineDirty;
     clearLine(i);
     --valid_;
     return was_dirty;
@@ -166,9 +159,9 @@ bool
 Molecule::poisonLine(u32 index)
 {
     MOLCACHE_EXPECT(index < numLines_, "poisoned line index out of range");
-    if ((flags_[index] & kLineValid) == 0)
+    if ((lines_[index] & kLineValid) == 0)
         return false; // flip in an invalid slot: nothing to corrupt
-    flags_[index] |= kLinePoisoned;
+    lines_[index] |= kLinePoisoned;
     return true;
 }
 
@@ -176,13 +169,12 @@ std::optional<Eviction>
 Molecule::scrubIfPoisoned(Addr addr)
 {
     const u32 i = indexOf(addr);
-    const u8 f = flags_[i];
-    if ((f & kLineValid) == 0 || (f & kLinePoisoned) == 0)
+    const u64 w = lines_[i];
+    if ((w & kLineValid) == 0 || (w & kLinePoisoned) == 0)
         return std::nullopt;
     // Parity caught the corruption: drop the line whatever tag it holds
     // (the probe reads the whole slot), and report its identity.
-    const Addr resident = (tags_[i] * numLines_ + i) * lineSize_;
-    const Eviction dropped{resident, (f & kLineDirty) != 0, true};
+    const Eviction dropped{lineAddrAt(i, w), (w & kLineDirty) != 0, true};
     clearLine(i);
     --valid_;
     return dropped;
@@ -193,7 +185,7 @@ Molecule::poisonedLines() const
 {
     u32 n = 0;
     for (u32 i = 0; i < numLines_; ++i)
-        if ((flags_[i] & (kLineValid | kLinePoisoned)) ==
+        if ((lines_[i] & (kLineValid | kLinePoisoned)) ==
             (kLineValid | kLinePoisoned))
             ++n;
     return n;

@@ -29,13 +29,18 @@ struct Eviction
     bool poisoned = false;
 };
 
-/** @{ Per-line state bits of the struct-of-arrays tag view.  Line state
- * is split into three parallel arrays (tags / recency stamps / flag
- * bytes) so the batched access path can scan a tile's slots as
- * contiguous memory with software prefetch (docs/perf.md). */
-inline constexpr u8 kLineValid = 1u << 0;
-inline constexpr u8 kLineDirty = 1u << 1;
-inline constexpr u8 kLinePoisoned = 1u << 2;
+/** @{ Per-line state bits.  A modeled line is one 8-byte word: the
+ * address bits above the molecule's index and offset (the tag, kept in
+ * place) with these bits in the low end, which index and offset make
+ * free.  The encoding needs three such bits, so a molecule must hold
+ * at least 8 bytes (MolecularCacheParams::validate). */
+inline constexpr u64 kLineValid = 1u << 0;
+inline constexpr u64 kLineDirty = 1u << 1;
+inline constexpr u64 kLinePoisoned = 1u << 2;
+inline constexpr u64 kLineStateBits = kLineValid | kLineDirty | kLinePoisoned;
+/** Smallest molecule (bytes) whose index and offset bits hold the
+ * state bits. */
+inline constexpr u64 kMinMoleculeBytes = kLineStateBits + 1;
 /** @} */
 
 class Molecule
@@ -53,14 +58,15 @@ class Molecule
     Molecule(MoleculeId id, TileId tile, u32 numLines, u32 lineSize);
 
     /**
-     * View onto tile-owned struct-of-arrays line storage: @p tags,
-     * @p touched and @p flags each point at @p numLines zero-initialized
-     * slots inside the tile's contiguous arrays.  The pointers must stay
-     * valid for the molecule's lifetime (vector heap buffers survive
-     * Tile moves, so they do).
+     * View onto tile-owned line storage: @p lines points at @p numLines
+     * zero-initialized line words inside the tile's contiguous array,
+     * @p touched at as many recency stamps, or is null where nothing
+     * reads them (every placement but LRU-Direct).  The pointers must
+     * stay valid for the molecule's lifetime (vector heap buffers
+     * survive Tile moves, so they do).
      */
     Molecule(MoleculeId id, TileId tile, u32 numLines, u32 lineSize,
-             Addr *tags, Tick *touched, u8 *flags);
+             u64 *lines, Tick *touched);
 
     /* Line storage is referenced by raw pointers; copying would alias
      * two molecules onto one owner's slots. Moves are fine: the owning
@@ -102,8 +108,8 @@ class Molecule
     bool
     lookup(Addr addr) const
     {
-        const u32 i = indexOf(addr);
-        return (flags_[i] & kLineValid) != 0 && tags_[i] == tagOf(addr);
+        const u64 w = lines_[indexOf(addr)];
+        return (w & kLineValid) != 0 && sameTag(w, addr);
     }
 
     /** Outcome of a single hot-path probe (see probe()). */
@@ -118,14 +124,12 @@ class Molecule
     ProbeOutcome
     probe(Addr addr) const
     {
-        const u32 i = indexOf(addr);
-        const u8 f = flags_[i];
-        if ((f & kLineValid) == 0)
+        const u64 w = lines_[indexOf(addr)];
+        if ((w & kLineValid) == 0)
             return ProbeOutcome::Miss;
-        if ((f & kLinePoisoned) != 0) [[unlikely]]
+        if ((w & kLinePoisoned) != 0) [[unlikely]]
             return ProbeOutcome::Poisoned;
-        return tags_[i] == tagOf(addr) ? ProbeOutcome::Hit
-                                       : ProbeOutcome::Miss;
+        return sameTag(w, addr) ? ProbeOutcome::Hit : ProbeOutcome::Miss;
     }
 
     /** Set the dirty bit of a resident line (write hit). */
@@ -134,11 +138,13 @@ class Molecule
     /**
      * Install the line holding @p addr, displacing whatever occupies the
      * slot.  @return the eviction if a valid line was displaced.
-     * @param tick recency stamp for the LRU-Direct scheme (0 = untracked)
+     * @param tick recency stamp for the LRU-Direct scheme (ignored by a
+     *             molecule that keeps no stamps)
      */
     std::optional<Eviction> fill(Addr addr, bool dirty, Tick tick = 0);
 
-    /** Stamp the recency of a resident line (hit path, LRU-Direct). */
+    /** Stamp the recency of a resident line (hit path, LRU-Direct);
+     * the molecule must keep stamps. */
     void noteTouch(Addr addr, Tick tick);
 
     /**
@@ -200,22 +206,35 @@ class Molecule
   private:
     friend class Tile; // sole caller of markDecommissioned()
 
-    /** Reset one slot to the invalid state (`Line{}` of old). */
+    /** Reset one slot to the invalid state. */
     void clearLine(u32 index);
     void markDecommissioned() { decommissioned_ = true; }
 
-    /** Slot index / tag of @p addr.  Line size and line count are
-     * powers of two, so these are shifts — a per-probe divide would
-     * dominate the access hot path (docs/perf.md). */
+    /** Slot index of @p addr.  Line size and line count are powers of
+     * two, so index and tag are shifts and masks — a per-probe divide
+     * would dominate the access hot path (docs/perf.md). */
     u32
     indexOf(Addr addr) const
     {
         return static_cast<u32>((addr >> lineShift_) & (numLines_ - 1));
     }
-    Addr
-    tagOf(Addr addr) const
+    /** True when line word @p w holds the tag of @p addr. */
+    bool
+    sameTag(u64 w, Addr addr) const
     {
-        return addr >> tagShift_;
+        return ((w ^ addr) & tagMask_) == 0;
+    }
+    /** Line address held by word @p w in slot @p index. */
+    Addr
+    lineAddrAt(u32 index, u64 w) const
+    {
+        return (w & tagMask_) | (static_cast<Addr>(index) << lineShift_);
+    }
+    void
+    stamp(u32 index, Tick tick)
+    {
+        if (touched_ != nullptr)
+            touched_[index] = tick;
     }
 
     MoleculeId id_;
@@ -223,18 +242,18 @@ class Molecule
     u32 numLines_;
     u32 lineSize_;
     u32 lineShift_ = 0; ///< log2(lineSize_)
-    u32 tagShift_ = 0;  ///< log2(lineSize_ * numLines_)
+    /** Address bits above index and offset: the tag part of a word. */
+    Addr tagMask_ = 0;
     Asid asid_ = kInvalidAsid;
     bool shared_ = false;
-    /** @{ Struct-of-arrays line state.  Either views into the owning
-     * tile's contiguous per-tile arrays (hot configuration) or into the
-     * own* vectors below (standalone construction). */
-    Addr *tags_ = nullptr;
+    /** @{ Line words and recency stamps.  Either views into the owning
+     * tile's contiguous arrays (touched_ null unless the tile keeps
+     * stamps) or into the own* vectors below (standalone construction,
+     * which keeps stamps). */
+    u64 *lines_ = nullptr;
     Tick *touched_ = nullptr;
-    u8 *flags_ = nullptr;
-    std::vector<Addr> ownTags_;
+    std::vector<u64> ownLines_;
     std::vector<Tick> ownTouched_;
-    std::vector<u8> ownFlags_;
     /** @} */
     u64 missCount_ = 0;
     u32 valid_ = 0;

@@ -1,5 +1,6 @@
 #include "core/params.hpp"
 
+#include "core/molecule.hpp"
 #include "util/bits.hpp"
 #include "util/logging.hpp"
 
@@ -68,6 +69,11 @@ MolecularCacheParams::validate() const
         fatal("molecule size must be a power of two");
     if (moleculeSize.value() < lineSize)
         fatal("molecule smaller than one line");
+    if (moleculeSize.value() < kMinMoleculeBytes)
+        fatal("molecule size ", moleculeSize.value(), " B is below the ",
+              kMinMoleculeBytes,
+              " B minimum: a line word keeps its valid/dirty/poisoned bits "
+              "in the index and offset bits");
     if (moleculesPerTile == 0)
         fatal("tile needs at least one molecule");
     if (tilesPerCluster == 0 || clusters == 0)

@@ -1,6 +1,7 @@
 #include "core/region.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "contract/contract.hpp"
 #include "stats/counter.hpp"
@@ -70,19 +71,30 @@ Region::Region(Asid asid, PlacementPolicy policy, u32 lineMultiple,
 Region::MolEntry *
 Region::findMol(MoleculeId mol)
 {
-    const auto it = std::lower_bound(
-        mols_.begin(), mols_.end(), mol,
-        [](const MolEntry &e, MoleculeId m) { return e.mol < m; });
-    return it != mols_.end() && it->mol == mol ? &*it : nullptr;
+    return const_cast<MolEntry *>(std::as_const(*this).findMol(mol));
 }
 
 const Region::MolEntry *
 Region::findMol(MoleculeId mol) const
 {
-    const auto it = std::lower_bound(
-        mols_.begin(), mols_.end(), mol,
-        [](const MolEntry &e, MoleculeId m) { return e.mol < m; });
-    return it != mols_.end() && it->mol == mol ? &*it : nullptr;
+    // Unsigned wrap sends ids below the base past the end too.
+    const u32 i = mol.value() - molPosBase_;
+    if (i >= molPos_.size() || molPos_[i] == kNoPos)
+        return nullptr;
+    return &mols_[molPos_[i]];
+}
+
+void
+Region::rebuildMolPos()
+{
+    if (mols_.empty()) {
+        molPos_.clear();
+        return;
+    }
+    molPosBase_ = mols_.front().mol.value();
+    molPos_.assign(mols_.back().mol.value() - molPosBase_ + 1u, kNoPos);
+    for (u32 p = 0; p < mols_.size(); ++p)
+        molPos_[mols_[p].mol.value() - molPosBase_] = p;
 }
 
 void
@@ -136,6 +148,7 @@ Region::addMolecule(MoleculeId mol, TileId tile, bool initial)
         mols_.begin(), mols_.end(), mol,
         [](const MolEntry &e, MoleculeId m) { return e.mol < m; });
     mols_.insert(it, MolEntry{mol, tile, RowIndex{row}, 0});
+    rebuildMolPos();
     byTile_.findOrCreate(tile).molecules.push_back(mol);
     ++size_;
     ++generation_;
@@ -170,9 +183,8 @@ Region::removeMolecule(MoleculeId mol)
     if (tileVec.empty())
         byTile_.erase(tile);
 
-    mols_.erase(std::lower_bound(
-        mols_.begin(), mols_.end(), mol,
-        [](const MolEntry &e, MoleculeId m) { return e.mol < m; }));
+    mols_.erase(mols_.begin() + (entry - mols_.data()));
+    rebuildMolPos();
     --size_;
     ++generation_;
 }

@@ -279,9 +279,12 @@ class Region
         u64 miss = 0;
     };
 
-    /** Binary search in the sorted mols_ vector; nullptr when absent. */
+    /** The entry of @p mol through molPos_; nullptr when absent. */
     MolEntry *findMol(MoleculeId mol);
     const MolEntry *findMol(MoleculeId mol) const;
+
+    /** Re-derive molPos_ from mols_ (membership changed). */
+    void rebuildMolPos();
 
     /** Rebuild the cached schedule slot for @p row (kNoRow = whole
      * region) against the current membership + shared list. */
@@ -299,6 +302,13 @@ class Region
     std::vector<std::vector<MoleculeId>> rows_;
     std::vector<u64> rowMiss_;
     std::vector<MolEntry> mols_; // sorted by mol
+    // Position in mols_ of molecule molPosBase_ + i, or kNoPos: O(1)
+    // entry lookup on the miss path (noteReplacement).  Spans the
+    // region's lowest to highest id only, so it stays within one
+    // cluster's molecules.
+    static constexpr u32 kNoPos = ~0u;
+    std::vector<u32> molPos_;
+    u32 molPosBase_ = 0;
     TilePlacement byTile_;
     u32 size_ = 0;
     u64 generation_ = 0;

@@ -6,21 +6,20 @@
 namespace molcache {
 
 Tile::Tile(TileId id, ClusterId cluster, MoleculeId firstMolecule,
-           u32 numMolecules, u32 linesPerMol, u32 lineSize)
+           u32 numMolecules, u32 linesPerMol, u32 lineSize,
+           bool keepStamps)
     : id_(id), cluster_(cluster), first_(firstMolecule),
-      soaTags_(static_cast<size_t>(numMolecules) * linesPerMol, 0),
-      soaTouched_(static_cast<size_t>(numMolecules) * linesPerMol, 0),
-      soaFlags_(static_cast<size_t>(numMolecules) * linesPerMol, 0),
-      free_(numMolecules)
+      lineWords_(static_cast<size_t>(numMolecules) * linesPerMol, 0),
+      touched_(keepStamps ? lineWords_.size() : 0, 0), free_(numMolecules)
 {
     MOLCACHE_EXPECT(numMolecules > 0, "tile with no molecules");
     molecules_.reserve(numMolecules);
     for (u32 i = 0; i < numMolecules; ++i) {
         const size_t base = static_cast<size_t>(i) * linesPerMol;
         molecules_.emplace_back(firstMolecule + i, id, linesPerMol,
-                                lineSize, soaTags_.data() + base,
-                                soaTouched_.data() + base,
-                                soaFlags_.data() + base);
+                                lineSize, lineWords_.data() + base,
+                                keepStamps ? touched_.data() + base
+                                           : nullptr);
     }
 }
 

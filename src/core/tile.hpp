@@ -28,9 +28,12 @@ class Tile
      * @param numMolecules  molecules on the tile
      * @param linesPerMol   lines per molecule
      * @param lineSize      line size (bytes)
+     * @param keepStamps    keep a recency stamp per line (LRU-Direct
+     *                      placement, the stamps' only reader)
      */
     Tile(TileId id, ClusterId cluster, MoleculeId firstMolecule,
-         u32 numMolecules, u32 linesPerMol, u32 lineSize);
+         u32 numMolecules, u32 linesPerMol, u32 lineSize,
+         bool keepStamps = false);
 
     TileId id() const { return id_; }
     ClusterId cluster() const { return cluster_; }
@@ -109,13 +112,13 @@ class Tile
     TileId id_;
     ClusterId cluster_;
     MoleculeId first_;
-    /* Line state of every molecule of the tile, one contiguous array
-     * per field; each molecule views its linesPerMol-sized span, so a
-     * tile's tags sit next to each other in memory.  Declared before
-     * molecules_ so the arrays exist when the views are built. */
-    std::vector<Addr> soaTags_;
-    std::vector<Tick> soaTouched_;
-    std::vector<u8> soaFlags_;
+    /* Line words of every molecule of the tile in one contiguous array
+     * (8 bytes per line: tag and state bits, see kLineValid), plus the
+     * recency stamps when kept (empty otherwise); each molecule views
+     * its linesPerMol-sized span.  Declared before molecules_ so the
+     * arrays exist when the views are built. */
+    std::vector<u64> lineWords_;
+    std::vector<Tick> touched_;
     std::vector<Molecule> molecules_;
     u32 free_;
     u32 decommissioned_ = 0;

@@ -7,8 +7,10 @@
  * statistics, identical energy to the last bit, identical region
  * counters, and identical way-memoization telemetry — across every
  * placement policy, every resize scheme, memoization on and off, the
- * configurations that take the scalar fallback (row-restricted lookup,
- * guardian on), faulted runs, and ASID-recycling churn.
+ * guardian with and without predictive mode (identical guardian
+ * telemetry too), the configurations that take the scalar fallback
+ * (row-restricted lookup, predictive guardian), faulted runs, and
+ * ASID-recycling churn.
  *
  * The batch plane defers and hoists per-reference bookkeeping, so any
  * ordering bug (a flush missed before a resize decision, a stale lane
@@ -78,6 +80,13 @@ class Twin
     {
         scalar_.unregisterApplication(asid);
         batch_.unregisterApplication(asid);
+    }
+
+    void
+    postPhaseHint(const PhaseHint &hint)
+    {
+        scalar_.postPhaseHint(hint);
+        batch_.postPhaseHint(hint);
     }
 
     void
@@ -167,7 +176,24 @@ class Twin
             EXPECT_EQ(scalar_.region(asid).size(), batch_.region(asid).size())
                 << asid.value();
         }
+        ASSERT_EQ(scalar_.guardian() == nullptr, batch_.guardian() == nullptr);
+        if (scalar_.guardian() != nullptr) {
+            const GuardianSummary sg = scalar_.guardian()->summary();
+            const GuardianSummary bg = batch_.guardian()->summary();
+            EXPECT_EQ(sg.epochsOutsideGoal, bg.epochsOutsideGoal);
+            EXPECT_EQ(sg.accessesOutsideGoal, bg.accessesOutsideGoal);
+            EXPECT_EQ(sg.floorHits, bg.floorHits);
+            EXPECT_EQ(sg.oscillationEvents, bg.oscillationEvents);
+            EXPECT_TRUE(sg == bg) << "guardian summaries differ";
+            for (const Asid asid : asids)
+                EXPECT_TRUE(scalar_.guardian()->telemetry(asid) ==
+                            batch_.guardian()->telemetry(asid))
+                    << "guardian telemetry differs for ASID "
+                    << asid.value();
+        }
     }
+
+    const MolecularCache &scalar() const { return scalar_; }
 
   private:
     MolecularCache scalar_;
@@ -239,19 +265,72 @@ TEST(BatchDifferential, RowRestrictedLookupFallback)
     twin.finish(fourAsids());
 }
 
-/** Guardian (with predictive apportioning) hooks the resize path, so
- * batches fall back to the scalar loop — and must stay identical. */
+/**
+ * Guardian on, predictive off: the fast plane feeds the guardian's QoS
+ * window record by record, in every placement x resize scheme.  A
+ * short resize period makes the windows roll and the guardian act
+ * within the trace.
+ */
+TEST(BatchDifferential, GuardianOnPlacementResizeMatrix)
+{
+    for (const PlacementPolicy policy :
+         {PlacementPolicy::Random, PlacementPolicy::Randy,
+          PlacementPolicy::LruDirect}) {
+        for (const ResizeScheme scheme :
+             {ResizeScheme::Constant, ResizeScheme::GlobalAdaptive,
+              ResizeScheme::PerAppAdaptive}) {
+            SCOPED_TRACE(testing::Message()
+                         << "placement=" << static_cast<int>(policy)
+                         << " scheme=" << static_cast<int>(scheme));
+            MolecularCacheParams p = diffParams(policy, scheme, true);
+            p.guardian.enabled = true;
+            p.resizePeriod = 3000;
+            Twin twin(p);
+            for (const Asid asid : fourAsids())
+                twin.attach(asid, 0.1, asid.value());
+            twin.run(makeTrace(60000));
+            twin.finish(fourAsids());
+            // The comparison has something to compare.
+            const GuardianSummary g = twin.scalar().guardian()->summary();
+            EXPECT_GT(g.epochsOutsideGoal, 0u);
+            EXPECT_GT(twin.scalar().wayMemoHits(), 0u);
+        }
+    }
+}
+
+/** Predictive mode wakes on the region's access count, which the lanes
+ * defer, so batches fall back to the scalar loop — and must stay
+ * identical while phase hints arm those wakeups between segments. */
 TEST(BatchDifferential, GuardianPredictiveOn)
 {
     MolecularCacheParams p = diffParams(
         PlacementPolicy::Randy, ResizeScheme::PerAppAdaptive, true);
     p.guardian.enabled = true;
     p.guardian.predictive.enabled = true;
+    p.guardian.predictive.initialTrust = 1.0;
     Twin twin(p);
     for (const Asid asid : fourAsids())
         twin.attach(asid, 0.1, asid.value());
-    twin.run(makeTrace(40000));
+    const std::vector<MemAccess> trace = makeTrace(60000);
+    for (size_t off = 0; off < trace.size(); off += 10000) {
+        for (const Asid asid : fourAsids()) {
+            PhaseHint hint;
+            hint.asid = asid;
+            hint.leadAccesses = 1500 + 500 * asid.value();
+            hint.epochsAhead = 0.5;
+            hint.predictedFootprintBytes =
+                (off / 10000 % 2 == 0 ? 2 : 16) * 64 * 1024;
+            hint.confidence = 0.95;
+            twin.postPhaseHint(hint);
+        }
+        twin.run(std::vector<MemAccess>(
+            trace.begin() + static_cast<std::ptrdiff_t>(off),
+            trace.begin() + static_cast<std::ptrdiff_t>(off + 10000)));
+    }
     twin.finish(fourAsids());
+    const GuardianSummary g = twin.scalar().guardian()->summary();
+    EXPECT_GT(g.hintsSeen, 0u);
+    EXPECT_GT(g.preGrantMolecules + g.preWithdrawMolecules, 0u);
 }
 
 /**

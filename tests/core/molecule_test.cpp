@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "core/params.hpp"
+
 namespace molcache {
 namespace {
 
@@ -164,6 +166,101 @@ TEST(Molecule, ResidentLinesReconstructHighAddresses)
     const auto resident = m.residentLines();
     ASSERT_EQ(resident.size(), 1u);
     EXPECT_EQ(resident[0], high);
+}
+
+/**
+ * A line is one word: the tag in place plus the state bits in the low
+ * end.  Round-trip lines at the top of the address space (bit 63 set,
+ * every tag bit set) through dirty, poison, scrub, refill, invalidate
+ * and eviction, checking that no state bit leaks into the tag or the
+ * tag into the state.
+ */
+TEST(Molecule, PackedWordRoundTripAtTopOfAddressSpace)
+{
+    Molecule m = makeMol();
+    m.assignTo(Asid{1});
+    const u64 span = 128 * 64;
+    const Addr top = ~Addr{0} - 63; // last line of the address space
+    const Addr low_tag = top - span; // same slot, tag differs in bit 13
+    const Addr other_top = (Addr{1} << 63) + 0x40; // bit 63, other slot
+    ASSERT_EQ(top % span, low_tag % span);
+
+    EXPECT_FALSE(m.fill(top + 5, true).has_value());
+    EXPECT_TRUE(m.lookup(top));
+    EXPECT_TRUE(m.lookup(top + 63));
+    EXPECT_EQ(m.probe(top), Molecule::ProbeOutcome::Hit);
+    EXPECT_FALSE(m.lookup(low_tag));
+    EXPECT_EQ(m.residentLines(), std::vector<Addr>{top});
+
+    // Dirty eviction by a conflicting tag reports the full address.
+    const auto ev = m.fill(low_tag, false);
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_EQ(ev->addr, top);
+    EXPECT_TRUE(ev->dirty);
+    EXPECT_FALSE(ev->poisoned);
+    EXPECT_TRUE(m.lookup(low_tag));
+    EXPECT_FALSE(m.lookup(top));
+
+    // Clean line back at the top; markDirty then poison it.
+    ASSERT_TRUE(m.fill(top, false).has_value());
+    m.markDirty(top);
+    const u32 slot = static_cast<u32>((top / 64) % 128);
+    EXPECT_TRUE(m.poisonLine(slot));
+    EXPECT_EQ(m.poisonedLines(), 1u);
+    EXPECT_EQ(m.probe(top), Molecule::ProbeOutcome::Poisoned);
+    // A poisoned line is never written back.
+    EXPECT_FALSE(m.invalidate(top));
+    EXPECT_EQ(m.validLines(), 0u);
+
+    // Poisoned dirty line displaced by a fill: identity intact, data lost.
+    m.fill(top, true);
+    EXPECT_TRUE(m.poisonLine(slot));
+    const auto lost = m.fill(low_tag, false);
+    ASSERT_TRUE(lost.has_value());
+    EXPECT_EQ(lost->addr, top);
+    EXPECT_TRUE(lost->dirty);
+    EXPECT_TRUE(lost->poisoned);
+
+    // Scrub reports the poisoned line whatever tag the probe carried.
+    EXPECT_TRUE(m.poisonLine(slot));
+    const auto scrubbed = m.scrubIfPoisoned(top);
+    ASSERT_TRUE(scrubbed.has_value());
+    EXPECT_EQ(scrubbed->addr, low_tag);
+    EXPECT_FALSE(scrubbed->dirty);
+    EXPECT_TRUE(scrubbed->poisoned);
+    EXPECT_EQ(m.validLines(), 0u);
+
+    // Refill over a poisoned copy of the same line clears the poison
+    // and does not merge the lost dirty bit.
+    m.fill(top, true);
+    EXPECT_TRUE(m.poisonLine(slot));
+    EXPECT_FALSE(m.fill(top, false).has_value());
+    EXPECT_EQ(m.probe(top), Molecule::ProbeOutcome::Hit);
+    EXPECT_EQ(m.poisonedLines(), 0u);
+    EXPECT_FALSE(m.invalidate(top)); // clean
+
+    // Bit 63 in another slot, next to a full-tag line.
+    m.fill(top, true);
+    m.fill(other_top, true);
+    auto resident = m.residentLines();
+    std::sort(resident.begin(), resident.end());
+    EXPECT_EQ(resident, (std::vector<Addr>{other_top, top}));
+    EXPECT_EQ(m.release(), 2u);
+    EXPECT_FALSE(m.lookup(top));
+    EXPECT_FALSE(m.lookup(other_top));
+}
+
+/** The state bits live in the index and offset bits, so a geometry
+ * with fewer than three of them is rejected up front, by name. */
+TEST(MoleculeDeathTest, ParamsRejectMoleculesWithoutRoomForStateBits)
+{
+    MolecularCacheParams p;
+    p.lineSize = 4;
+    p.moleculeSize = Bytes{4};
+    EXPECT_EXIT(p.validate(), ::testing::ExitedWithCode(1),
+                "molecule size 4 B is below the 8 B minimum");
+    p.moleculeSize = Bytes{kMinMoleculeBytes};
+    p.validate(); // the smallest molecule that fits passes
 }
 
 } // namespace

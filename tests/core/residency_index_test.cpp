@@ -222,6 +222,7 @@ class Harness
     u64 served(u8 level) const { return levels_[level]; }
 
     const MolecularCache &cache() const { return scalar_; }
+    const MolecularCache &batchCache() const { return batch_; }
 
   private:
     MolecularCache scalar_;
@@ -355,6 +356,110 @@ TEST(ResidencyIndex, AsidRecycling)
     h.detach(Asid{1});
     h.attach(Asid{1}, ClusterId{0}, 1);
     h.run(makeTrace(20000, kFour, 8000, 14, false, 4));
+}
+
+/** Way-memo telemetry of one cache: hits, mispredicts, table rebuilds. */
+std::array<u64, 3>
+memoCounts(const MolecularCache &cache)
+{
+    return {cache.wayMemoHits(), cache.wayMemoMispredicts(),
+            cache.wayMemoInvalidations()};
+}
+
+/**
+ * Where the index is exact, the way-memo verdict is read off it instead
+ * of re-probing the predicted molecule.  The counters must come out as
+ * the live probe made them: these values were recorded with the live
+ * re-validation on every lookup, and both planes must reproduce them
+ * over remote hits and resize churn, a same-cluster migration,
+ * cross-cluster invalidations, a foreign shared-bit molecule that
+ * switches the lookup between the index and the walk, and regions
+ * small enough that the memo's 32 tag bits alias two lines (a
+ * prediction may name a home molecule holding the other one).
+ */
+TEST(ResidencyIndex, WayMemoVerdictMatchesTheLiveProbe)
+{
+    std::vector<std::array<u64, 3>> got;
+    const auto record = [&](const Harness &h) {
+        EXPECT_EQ(memoCounts(h.cache()), memoCounts(h.batchCache()));
+        got.push_back(memoCounts(h.cache()));
+    };
+    for (const PlacementPolicy policy :
+         {PlacementPolicy::Random, PlacementPolicy::Randy,
+          PlacementPolicy::LruDirect}) {
+        Harness h(churnParams(policy));
+        for (const Asid asid : kFour)
+            h.attach(asid, ClusterId{0}, asid.value() / 2u);
+        h.run(makeTrace(60000, kFour, 12000, 1, false, 4));
+        record(h);
+    }
+    {
+        Harness h(churnParams(PlacementPolicy::Random));
+        attachFour(h);
+        h.run(makeTrace(20000, kFour, 4000, 5));
+        h.sim([](SimAccess &s) {
+            for (const Asid asid : kFour)
+                s.migrateApplication(asid, ClusterId{0},
+                                     (asid.value() + 1u) % 4u);
+        });
+        h.run(makeTrace(20000, kFour, 4000, 5));
+        record(h);
+    }
+    {
+        Harness h(table2MolecularParams(PlacementPolicy::Random));
+        const std::vector<Asid> six{Asid{0}, Asid{1}, Asid{2},
+                                    Asid{3}, Asid{4}, Asid{5}};
+        for (const Asid asid : six)
+            h.attach(asid, ClusterId{asid.value() % 3u},
+                     asid.value() % 4u);
+        h.run(makeTrace(60000, six, 3000, 11, /*shared=*/true, 4));
+        record(h);
+    }
+    {
+        MolecularCacheParams p = churnParams(PlacementPolicy::Random);
+        p.resizePeriod = 1u << 30;
+        p.maxResizePeriod = 1u << 30;
+        Harness h(p);
+        h.attach(Asid{0}, ClusterId{0}, 0);
+        h.attach(Asid{1}, ClusterId{0}, 0);
+        const std::vector<Asid> both{Asid{0}, Asid{1}};
+        h.run(makeTrace(10000, both, 2000, 16, true));
+        const MoleculeId shared =
+            h.cache().region(Asid{0}).byTile().at(TileId{0}).front();
+        h.sim([&](SimAccess &s) { s.setSharedMolecule(shared, true); });
+        h.run(makeTrace(20000, both, 2000, 17, true, 4));
+        h.sim([&](SimAccess &s) { s.setSharedMolecule(shared, false); });
+        h.run(makeTrace(10000, both, 2000, 18, true));
+        record(h);
+    }
+    {
+        // Two molecules per region for good: a 512-slot memo table
+        // keys address bits 6-14 and tags bits 16 up, so lines that
+        // differ in bit 15 alias, and both can be resident at home.
+        MolecularCacheParams p = churnParams(PlacementPolicy::Random);
+        p.initialAllocation = InitialAllocation::Small;
+        p.initialMolecules = 2;
+        p.resizePeriod = 1u << 30;
+        p.maxResizePeriod = 1u << 30;
+        Harness h(p);
+        attachFour(h);
+        h.run(makeTrace(40000, kFour, 4096, 22, false, 4));
+        record(h);
+    }
+    const std::vector<std::array<u64, 3>> want{
+        {2892, 638, 8},  {2884, 625, 8},   {4539, 2, 8},
+        {2267, 324, 12}, {6420, 3177, 17}, {29966, 762, 2},
+        {133, 1567, 4},
+    };
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i], want[i])
+            << "scenario " << i << ": hits " << got[i][0]
+            << ", mispredicts " << got[i][1] << ", invalidations "
+            << got[i][2];
+        EXPECT_GT(got[i][0], 0u) << "scenario " << i;
+        EXPECT_GT(got[i][1], 0u) << "scenario " << i;
+    }
 }
 
 // Fallbacks: the index is not read, the walk runs, the answers agree.

@@ -343,6 +343,72 @@ TEST(HotpathAllocations, ZeroPerMissBatchTable2Invalidating)
     expectZeroAllocMissWindow(MissGeometry::Table2, true);
 }
 
+/**
+ * A molcached shard's steady state: the service's per-shard geometry
+ * (the default MolecularCacheParams, one cluster) with the guardian on,
+ * as every service shard runs it, and 64-reference accessBatch bursts
+ * (one tenant each, 20% writes) over footprints that together overflow
+ * the shard, so the batched plane feeds the guardian's QoS window
+ * through fills and evictions.  Resizing is pushed out of the window
+ * as above.
+ */
+TEST(HotpathAllocations, ZeroPerMissBatchGuardianServiceShard)
+{
+    MolecularCacheParams p;
+    p.guardian.enabled = true;
+    p.resizePeriod = 1u << 30;
+    p.maxResizePeriod = 1u << 30;
+    MolecularCache cache(p);
+    constexpr u16 kTenants = 4;
+    for (u16 a = 0; a < kTenants; ++a)
+        cache.registerApplication(Asid{a}, 0.1);
+    ASSERT_NE(cache.guardian(), nullptr);
+
+    constexpr size_t kBurst = 64;
+    const u64 footprintLines = p.totalSizeBytes().value() / p.lineSize / 2;
+    std::vector<MemAccess> trace;
+    u64 x = 88172645463325252ull;
+    for (u32 b = 0; b < 400; ++b) {
+        const u16 a = static_cast<u16>(b % kTenants);
+        for (size_t i = 0; i < kBurst; ++i) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            trace.push_back({(static_cast<Addr>(a) << 32) +
+                                 (x % footprintLines) * p.lineSize,
+                             Asid{a},
+                             (x >> 40) % 5 == 0 ? AccessType::Write
+                                                : AccessType::Read});
+        }
+    }
+    std::vector<AccessResult> results(trace.size());
+    auto pass = [&] {
+        for (size_t off = 0; off < trace.size(); off += kBurst)
+            cache.accessBatch({trace.data() + off, kBurst},
+                              {results.data() + off, kBurst});
+    };
+    for (int warm = 0; warm < 3; ++warm)
+        pass();
+
+    u64 misses = 0;
+    u64 hits = 0;
+    const u64 evictionsBefore = cache.directory().stats().evictions;
+    const unsigned long long before = g_heapAllocs.load();
+    for (int window = 0; window < 5; ++window) {
+        pass();
+        for (const AccessResult &r : results)
+            (r.hit ? hits : misses) += 1;
+    }
+    const unsigned long long after = g_heapAllocs.load();
+
+    ASSERT_GT(misses, trace.size()) << "window must bear misses";
+    ASSERT_GT(hits, 0u) << "window must bear hits";
+    ASSERT_GT(cache.directory().stats().evictions, evictionsBefore)
+        << "window must evict";
+    EXPECT_EQ(after - before, 0u)
+        << "guardian-on batched misses must not allocate";
+}
+
 /** The counter itself must observe allocations, or the zero above would
  * be vacuous. */
 TEST(HotpathAllocations, CounterSeesAllocations)

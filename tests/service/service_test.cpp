@@ -14,6 +14,8 @@
 #include "util/config_keys.hpp"
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace molcache {
 namespace {
@@ -362,6 +364,96 @@ TEST(ServiceTest, AccessBatchMatchesScalarAccess)
     EXPECT_EQ(s.accesses, b.accesses);
     EXPECT_EQ(s.hits, b.hits);
     EXPECT_EQ(s.misses, b.misses);
+}
+
+std::string
+summaryDocument(const mc::Service &service)
+{
+    std::ostringstream out;
+    JsonWriter json(out);
+    mc::writeServiceSummaryDocument(json, service.summary());
+    return out.str();
+}
+
+/**
+ * The guardian-on twin of AccessBatchMatchesScalarAccess at service
+ * scale: several tenants per shard with writes, capacity misses,
+ * control-plane epochs and a detach/attach mid-stream.  accessBatch
+ * takes the batched plane with the guardian on, so the two services
+ * must report byte-identical summaries, not just equal totals.
+ */
+TEST(ServiceTest, GuardianOnAccessBatchTwinSummaryJsonIdentical)
+{
+    mc::ServiceOptions options = manualOptions();
+    options.withGuardian(true);
+    mc::Service scalarSvc(options);
+    mc::Service batchSvc(options);
+
+    constexpr u32 kTenants = 5;
+    std::vector<mc::TenantHandle> scalarTenants;
+    std::vector<mc::TenantHandle> batchTenants;
+    const auto attach = [&](u32 t) {
+        mc::TenantSpec spec;
+        spec.shard = t % 2;
+        spec.missRateGoal = 0.05 + 0.05 * (t % 3);
+        scalarTenants.at(t) = scalarSvc.attach(spec);
+        batchTenants.at(t) = batchSvc.attach(spec);
+        ASSERT_TRUE(scalarTenants[t]);
+        ASSERT_TRUE(batchTenants[t]);
+    };
+    scalarTenants.resize(kTenants);
+    batchTenants.resize(kTenants);
+    for (u32 t = 0; t < kTenants; ++t)
+        attach(t);
+
+    // 64-reference bursts, one tenant each; ~1.5 MiB footprints with a
+    // 64 KiB hot set, 20% writes.
+    constexpr size_t kBurst = 64;
+    std::vector<mc::Service::TenantAccess> burst(kBurst);
+    std::vector<AccessResult> batched(kBurst);
+    u64 x = 0x9E3779B97F4A7C15ull;
+    u64 mismatches = 0;
+    for (u32 b = 0; b < 2400; ++b) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        const u32 t = static_cast<u32>(x >> 33) % kTenants;
+        for (size_t i = 0; i < kBurst; ++i) {
+            x = x * 6364136223846793005ull + 1442695040888963407ull;
+            const u64 lines = (x >> 62) != 0 ? 24576 : 1024;
+            burst[i] = {(x >> 20) % lines * 64, (x >> 12) % 5 == 0};
+        }
+        batchSvc.accessBatch(batchTenants[t], burst, batched);
+        for (size_t i = 0; i < kBurst; ++i) {
+            const AccessResult want = scalarSvc.access(
+                scalarTenants[t], burst[i].addr, burst[i].write);
+            if (want.hit != batched[i].hit ||
+                want.level != batched[i].level ||
+                want.latencyCycles != batched[i].latencyCycles ||
+                want.energyNj != batched[i].energyNj)
+                ++mismatches;
+        }
+        if (b % 300 == 299) {
+            scalarSvc.runEpochNow();
+            batchSvc.runEpochNow();
+        }
+        if (b == 1200) {
+            // Churn: tenant 2 departs and a successor takes its place.
+            scalarSvc.detach(scalarTenants[2]);
+            batchSvc.detach(batchTenants[2]);
+            scalarTenants[2] = {};
+            batchTenants[2] = {};
+            scalarSvc.runEpochNow();
+            batchSvc.runEpochNow();
+            attach(2);
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    scalarSvc.runEpochNow();
+    batchSvc.runEpochNow();
+    const mc::ServiceSummary s = scalarSvc.summary();
+    EXPECT_GT(s.misses, 0u);
+    EXPECT_GT(s.writebacks, 0u);
+    EXPECT_GT(s.tenantsDrained, 0u);
+    EXPECT_EQ(summaryDocument(scalarSvc), summaryDocument(batchSvc));
 }
 
 } // namespace
