@@ -153,7 +153,7 @@ attachOne(mc::Service &service, Board &board, ChurnProcess &churn,
     tenant.profile =
         churn.makeProfile(ordinal, service.options().cache.lineSize);
     mc::TenantSpec spec;
-    spec.name = "t" + std::to_string(ordinal);
+    spec.name = molcache::detail::concat("t", ordinal);
     spec.missRateGoal = tenant.profile.missRateGoal;
     mc::AttachError error = mc::AttachError::None;
     tenant.handle = service.attach(spec, &error);
@@ -189,11 +189,14 @@ runDriver(mc::Service &service, Board &board, const StormConfig &cfg,
 
     // Keep churning until the access target is met AND the resilience
     // plane is quiet — re-convergence needs live traffic, so the
-    // workers must still be running while we wait for it.
+    // workers must still be running while we wait for it.  summary() is
+    // the last epoch's snapshot: before the first epoch it is empty and
+    // reads quiet with the whole storm still pending.
     u64 now = 0;
     for (;;) {
         now = board.accesses.load(std::memory_order_relaxed);
         const bool done = now >= cfg.totalRefs &&
+                          service.epochsCompleted() > 0 &&
                           resilienceQuiet(service.summary().resilience);
         if (done) {
             *quiet = true;

@@ -167,7 +167,7 @@ attachOne(mc::Service &service, Board &board, ChurnProcess &churn,
     tenant.profile =
         churn.makeProfile(ordinal, service.options().cache.lineSize);
     mc::TenantSpec spec;
-    spec.name = "t" + std::to_string(ordinal);
+    spec.name = molcache::detail::concat("t", ordinal);
     spec.missRateGoal = tenant.profile.missRateGoal;
     mc::AttachError error = mc::AttachError::None;
     tenant.handle = service.attach(spec, &error);

@@ -2,8 +2,9 @@
  * @file
  * The repo's only sanctioned mutex/condition-variable vocabulary.
  *
- * mc::Mutex, mc::MutexLock and mc::CondVar wrap the standard primitives
- * with the Clang Thread Safety Analysis capability annotations
+ * mc::Mutex (a futex-word lock, below), mc::MutexLock and mc::CondVar
+ * (std::condition_variable_any on that Mutex) carry the Clang Thread
+ * Safety Analysis capability annotations
  * (util/thread_annotations.hpp), so every guarded member can name the
  * mutex that protects it and an access without the lock is a compile
  * error under the clang presets.  Raw std::mutex /
@@ -33,45 +34,166 @@
 #ifndef MOLCACHE_UTIL_SYNC_HPP
 #define MOLCACHE_UTIL_SYNC_HPP
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <mutex>
 
 #include "util/thread_annotations.hpp"
 #include "util/types.hpp"
 
+// ThreadSanitizer models pthread mutexes itself but sees mc::Mutex only
+// as atomics: enough to order memory, not enough for its lock-order
+// (deadlock) reports or its held-mutex sets.  The detail::tsan* hooks
+// below describe Mutex to it; they compile to nothing in other builds.
+#if defined(__SANITIZE_THREAD__)
+#define MOLCACHE_TSAN_MUTEX 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define MOLCACHE_TSAN_MUTEX 1
+#endif
+#endif
+
+#ifdef MOLCACHE_TSAN_MUTEX
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace molcache {
 namespace mc {
 
-/** An annotated exclusive mutex (a TSA "capability"). */
+namespace detail {
+
+#ifdef MOLCACHE_TSAN_MUTEX
+inline constexpr unsigned kTsanTryLock = __tsan_mutex_try_lock;
+inline constexpr unsigned kTsanTryLockFailed =
+    __tsan_mutex_try_lock | __tsan_mutex_try_lock_failed;
+inline void
+tsanMutexCreate(void *m)
+{
+    __tsan_mutex_create(m, 0);
+}
+inline void
+tsanMutexDestroy(void *m)
+{
+    __tsan_mutex_destroy(m, 0);
+}
+inline void
+tsanPreLock(void *m, unsigned flags)
+{
+    __tsan_mutex_pre_lock(m, flags);
+}
+inline void
+tsanPostLock(void *m, unsigned flags)
+{
+    __tsan_mutex_post_lock(m, flags, 0);
+}
+inline void
+tsanPreUnlock(void *m)
+{
+    __tsan_mutex_pre_unlock(m, 0);
+}
+inline void
+tsanPostUnlock(void *m)
+{
+    __tsan_mutex_post_unlock(m, 0);
+}
+#else
+inline constexpr unsigned kTsanTryLock = 0;
+inline constexpr unsigned kTsanTryLockFailed = 0;
+inline void tsanMutexCreate(void *) {}
+inline void tsanMutexDestroy(void *) {}
+inline void tsanPreLock(void *, unsigned) {}
+inline void tsanPostLock(void *, unsigned) {}
+inline void tsanPreUnlock(void *) {}
+inline void tsanPostUnlock(void *) {}
+#endif
+
+} // namespace detail
+
+/**
+ * An annotated exclusive mutex (a TSA "capability") that barges but
+ * bounds starvation.
+ *
+ * One 32-bit futex word holds the whole state.  An uncontended lock()
+ * is one compare-and-swap and unlock() one fetch_and, and a release
+ * never hands the lock to a parked waiter: whoever comes next takes it
+ * (barging), so a thread that re-locks straight after unlocking keeps
+ * running while a parked waiter is still waking up.  That keeps the
+ * common case fast, but left alone it lets a busy re-locker starve a
+ * waiter for milliseconds.  So a waiter that has waited kStarvationBound
+ * raises the handoff flag: while it is up, lock(), try_lock() and every
+ * other waiter stand back, the next release wakes the flagged waiter
+ * and nobody else, and the flag clears when that waiter takes the lock
+ * (Go's sync.Mutex starvation mode).  Waiters park at once; only the
+ * flagged waiter spins, and only for a few microseconds.
+ * docs/molcached.md ("Shard locks") has the measurements behind the
+ * design.  Linux only (futex).
+ */
 class MOLCACHE_CAPABILITY("mutex") Mutex
 {
   public:
-    Mutex() = default;
+    /** A waiter that has waited this long claims the next release. */
+    static constexpr std::chrono::microseconds kStarvationBound{100};
+
+    Mutex() { detail::tsanMutexCreate(this); }
+    ~Mutex() { detail::tsanMutexDestroy(this); }
     Mutex(const Mutex &) = delete;
     Mutex &operator=(const Mutex &) = delete;
 
     void
     lock() MOLCACHE_ACQUIRE()
     {
-        m_.lock();
+        detail::tsanPreLock(this, 0);
+        u32 expected = 0;
+        if (!state_.compare_exchange_weak(expected, kLocked,
+                                          std::memory_order_acquire,
+                                          std::memory_order_relaxed))
+            lockSlow();
+        detail::tsanPostLock(this, 0);
     }
 
     void
     unlock() MOLCACHE_RELEASE()
     {
-        m_.unlock();
+        detail::tsanPreUnlock(this);
+        // Clearing kContended with kLocked is safe: every waiter that
+        // stays parked is re-covered by the one this release wakes,
+        // which marks the word contended again when it takes the lock
+        // or parks.
+        const u32 prior = state_.fetch_and(~(kLocked | kContended),
+                                           std::memory_order_release);
+        if (prior != kLocked)
+            wake(prior);
+        detail::tsanPostUnlock(this);
     }
 
     bool
     try_lock() MOLCACHE_TRY_ACQUIRE(true)
     {
-        return m_.try_lock();
+        detail::tsanPreLock(this, detail::kTsanTryLock);
+        // Unlocked with no handoff pending is exactly state 0 (see
+        // unlock()), so one strong CAS decides.
+        u32 expected = 0;
+        const bool acquired = state_.compare_exchange_strong(
+            expected, kLocked, std::memory_order_acquire,
+            std::memory_order_relaxed);
+        detail::tsanPostLock(this, acquired ? detail::kTsanTryLock
+                                            : detail::kTsanTryLockFailed);
+        return acquired;
     }
 
   private:
-    friend class CondVar;
-    std::mutex m_;
+    /** Held. */
+    static constexpr u32 kLocked = 1u << 0;
+    /** Waiters may be parked: the next release must wake one. */
+    static constexpr u32 kContended = 1u << 1;
+    /** A starved waiter owns the next release. */
+    static constexpr u32 kHandoff = 1u << 2;
+
+    void lockSlow();
+    void lockHandoff();
+    void wake(u32 prior);
+
+    std::atomic<u32> state_{0};
 };
 
 /**
@@ -130,7 +252,7 @@ class CondVar
         // NOLINTNEXTLINE(bugprone-spuriously-wake-up-functions): the
         // re-check loop is the documented caller contract (see above);
         // this wrapper is the loop body, not the loop.
-        cv_.wait(mutex.m_);
+        cv_.wait(mutex);
     }
 
     /**
@@ -147,7 +269,7 @@ class CondVar
     {
         // NOLINTNEXTLINE(bugprone-spuriously-wake-up-functions): as with
         // wait(), the re-check loop is the documented caller contract.
-        cv_.wait_for(mutex.m_, std::chrono::milliseconds(millis));
+        cv_.wait_for(mutex, std::chrono::milliseconds(millis));
     }
 
     void

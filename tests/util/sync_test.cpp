@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "util/thread_annotations.hpp"
 #include "util/types.hpp"
 
 namespace molcache {
@@ -29,6 +34,198 @@ TEST(Sync, MutexLockProvidesMutualExclusion)
     EXPECT_EQ(counter, 4 * kIncrements);
 }
 
+/** Spin (never sleep) for @p duration, as a critical section that
+ * holds its lock and keeps its CPU busy does. */
+void
+busyFor(std::chrono::nanoseconds duration)
+{
+    const auto until = std::chrono::steady_clock::now() + duration;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+}
+
+/**
+ * Keeps every CPU busy while it lives (one spinner per CPU, at most 16).
+ * On a loaded host a woken waiter has to wait for a CPU while the
+ * releasing thread runs on, which is where barging starves waiters; on
+ * an idle VM the wakeup is often quicker than the releaser's own futex
+ * call, and the starvation does not show.
+ */
+class CpuLoad
+{
+  public:
+    CpuLoad()
+    {
+        const unsigned count =
+            std::min(std::max(1u, std::thread::hardware_concurrency()), 16u);
+        spinners_.reserve(count);
+        for (unsigned i = 0; i < count; ++i)
+            spinners_.emplace_back([this] {
+                while (!stop_.load(std::memory_order_relaxed)) {
+                }
+            });
+    }
+    ~CpuLoad()
+    {
+        stop_.store(true, std::memory_order_relaxed);
+        for (std::thread &t : spinners_)
+            t.join();
+    }
+    CpuLoad(const CpuLoad &) = delete;
+    CpuLoad &operator=(const CpuLoad &) = delete;
+
+  private:
+    std::atomic<bool> stop_{false};
+    std::vector<std::thread> spinners_;
+};
+
+TEST(Sync, MutualExclusionHoldsWithMoreThreadsThanCpus)
+{
+    // Oversubscribed, so holders are preempted while they hold and
+    // waiters park; every 64th hold outlasts Mutex::kStarvationBound so
+    // the handoff path runs too.  A second thread inside the critical
+    // section, or a lost increment, fails the test.
+    const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
+    const unsigned threadCount = std::min(cpus + 3, 64u);
+    constexpr u64 kIterations = 2000;
+    mc::Mutex mutex;
+    u64 counter = 0;
+    std::atomic<int> inside{0};
+    std::atomic<u64> overlaps{0};
+    std::vector<std::thread> threads;
+    threads.reserve(threadCount);
+    for (unsigned t = 0; t < threadCount; ++t)
+        threads.emplace_back([&, t] {
+            for (u64 i = 0; i < kIterations; ++i) {
+                mc::MutexLock lock(mutex);
+                if (inside.fetch_add(1, std::memory_order_relaxed) != 0)
+                    overlaps.fetch_add(1, std::memory_order_relaxed);
+                ++counter;
+                if ((i + t) % 64 == 0)
+                    busyFor(2 * mc::Mutex::kStarvationBound);
+                inside.fetch_sub(1, std::memory_order_relaxed);
+            }
+        });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_EQ(overlaps.load(), 0u);
+    EXPECT_EQ(counter, threadCount * kIterations);
+}
+
+TEST(Sync, StarvationIsBounded)
+{
+    // Two threads re-lock in a tight loop, each holding ~10 us, on a
+    // loaded host.  With plain barging the releasing thread takes the
+    // lock straight back long before a woken waiter runs, so a third
+    // thread that arrives while the lock is held can wait for as long as
+    // the barging goes on (a std::mutex on a 4-vCPU Linux VM: single
+    // waits up to ~0.9 s).  The starvation bound hands the third thread
+    // the lock within ~kStarvationBound plus its wakeup.  It sleeps
+    // between acquisitions so it never re-locks by barging itself.
+    // Sizing, same VM, 200 acquisitions: ~60 ms in Release and up to
+    // ~1 s under TSan with the bound, 6.4-7.0 s in Release with the
+    // bound switched off.  So 1000 acquisitions need ~0.3 s (up to ~5 s
+    // under TSan) when starvation is bounded and ~33 s when it is not,
+    // and the deadline sits between with room on both sides.
+    constexpr int kAcquisitions = 1000;
+    constexpr auto kDeadline = std::chrono::seconds(15);
+    const CpuLoad load;
+    mc::Mutex mutex;
+    std::atomic<bool> done{false};
+    std::vector<std::thread> hogs;
+    hogs.reserve(2);
+    for (int t = 0; t < 2; ++t)
+        hogs.emplace_back([&] {
+            while (!done.load(std::memory_order_acquire)) {
+                mc::MutexLock lock(mutex);
+                busyFor(std::chrono::microseconds(10));
+            }
+        });
+    // Let the hogs get going before the third thread queues up.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const auto deadline = std::chrono::steady_clock::now() + kDeadline;
+    int acquired = 0;
+    while (acquired < kAcquisitions &&
+           std::chrono::steady_clock::now() < deadline) {
+        {
+            mc::MutexLock lock(mutex);
+            ++acquired;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    done.store(true, std::memory_order_release);
+    for (std::thread &t : hogs)
+        t.join();
+    EXPECT_EQ(acquired, kAcquisitions);
+}
+
+/**
+ * One round of StarvedWaiterOwnsTheNextRelease: starve a waiter past
+ * the bound, release and barge straight back in (so the woken waiter
+ * finds the lock held again and raises the handoff flag), then release
+ * and try to barge once more.  Returns whether that last try_lock()
+ * won, or nullopt when the waiter took the first release.  The waiter
+ * keeps the lock until the probe is done, so a release that went to it
+ * reads as a failed try_lock().  Unannotated: the lock()/try_lock()/
+ * unlock() juggling is what the test is about, and the analysis cannot
+ * follow a conditional hold.
+ */
+std::optional<bool>
+bargePastStarvedWaiter(mc::Mutex &mutex) MOLCACHE_NO_THREAD_SAFETY_ANALYSIS
+{
+    std::atomic<bool> arriving{false};
+    std::atomic<bool> probed{false};
+    mutex.lock();
+    std::thread waiter([&] {
+        arriving.store(true, std::memory_order_release);
+        mc::MutexLock lock(mutex);
+        while (!probed.load(std::memory_order_acquire))
+            std::this_thread::yield();
+    });
+    while (!arriving.load(std::memory_order_acquire))
+        std::this_thread::yield();
+    // Hold well past the bound, so the waiter has parked and starved.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    mutex.unlock();
+    if (!mutex.try_lock()) {
+        probed.store(true, std::memory_order_release);
+        waiter.join();
+        return std::nullopt;
+    }
+    // Generous: the woken waiter only needs to run once to raise the
+    // flag.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    mutex.unlock();
+    const bool barged = mutex.try_lock();
+    probed.store(true, std::memory_order_release);
+    if (barged)
+        mutex.unlock();
+    waiter.join();
+    return barged;
+}
+
+TEST(Sync, StarvedWaiterOwnsTheNextRelease)
+{
+    // The deterministic half of StarvationIsBounded: once a starved
+    // waiter has raised the handoff flag, the next release is its, so
+    // the releasing thread's own try_lock() must fail.  A std::mutex
+    // lets it win (8 of 8 rounds on a 4-vCPU Linux VM).  The host is
+    // loaded so that the releaser, not the woken waiter, wins the first
+    // release that sets the scene.
+    const CpuLoad load;
+    mc::Mutex mutex;
+    int rounds = 0;
+    for (int attempt = 0; attempt < 10 && rounds < 2; ++attempt) {
+        const std::optional<bool> barged = bargePastStarvedWaiter(mutex);
+        if (!barged)
+            continue;
+        ++rounds;
+        EXPECT_FALSE(*barged) << "a release went past a starved waiter";
+    }
+    EXPECT_GT(rounds, 0) << "the waiter took every first release; the "
+                            "scene was never set";
+}
+
 TEST(Sync, MutexLockReleasesOnScopeExit)
 {
     mc::Mutex mutex;
@@ -45,8 +242,8 @@ TEST(Sync, TryLockFailsWhileHeld)
     mc::Mutex mutex;
     mc::MutexLock lock(mutex);
     bool acquired = true;
-    // try_lock on a std::mutex already held by this thread is UB, so
-    // probe from another thread.
+    // try_lock on a mutex already held by this thread is UB for the
+    // standard Lockable contract, so probe from another thread.
     std::thread prober([&] { acquired = mutex.try_lock(); });
     prober.join();
     EXPECT_FALSE(acquired);

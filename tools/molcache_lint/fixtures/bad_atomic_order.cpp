@@ -16,4 +16,14 @@ bumpWithoutOrders()
     return g_bad_count.load(); // finding: load without an order
 }
 
+bool
+lockWordWithoutOrders(std::atomic<unsigned> &word)
+{
+    unsigned expected = 0;
+    if (word.compare_exchange_weak(expected, 1u)) // finding: CAS, no order
+        return true;
+    word.fetch_and(~1u); // finding: fetch_and without an order
+    return false;
+}
+
 } // namespace molcache
